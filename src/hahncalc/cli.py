@@ -11,6 +11,10 @@ Subcommands:
 * sweep: run kinematics or drag over swept q and/or w values in long
   format, with the (q, w) columns prepended.
 
+kinematics and drag are a one-point sweep without the q and w columns: all
+three table commands run through one path, driven by the BASES registry of
+route names and per-command setups.
+
 Tables go to standard output as CSV (with a '# key=value' metadata header)
 or as a single JSON object with --format json; diagnostics go to standard
 error.  Identical invocations produce byte-identical output.
@@ -143,31 +147,17 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="hahncalc", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
-    kin = commands.add_parser(
-        "kinematics", help="constant-acceleration trajectories on the lattice"
-    )
-    _add_lattice_args(kin, required=True)
-    kin.add_argument("--v0", type=float, default=0.0, help="initial velocity")
-    _add_kinematics_args(kin)
-    _add_time_args(kin)
-    kin.add_argument(
-        "--routes",
-        default=",".join(KINEMATICS_ROUTES),
-        help="comma-separated subset of: " + ",".join(KINEMATICS_ROUTES),
-    )
-    _add_output_args(kin)
-
-    drag = commands.add_parser("drag", help="resisted-fall velocities")
-    _add_lattice_args(drag, required=True)
-    drag.add_argument("--v0", type=float, default=0.0, help="initial velocity")
-    _add_drag_args(drag)
-    _add_time_args(drag)
-    drag.add_argument(
-        "--routes",
-        default=",".join(DRAG_ROUTES),
-        help="comma-separated subset of: " + ",".join(DRAG_ROUTES),
-    )
-    _add_output_args(drag)
+    for base, (help_text, routes, add_physics_args, _) in BASES.items():
+        table = commands.add_parser(base, help=help_text)
+        table.set_defaults(base=base)
+        _add_lattice_args(table, required=True)
+        table.add_argument("--v0", type=float, default=0.0, help="initial velocity")
+        add_physics_args(table)
+        _add_time_args(table)
+        table.add_argument(
+            "--routes", default=None, help="comma-separated subset of: " + ",".join(routes)
+        )
+        _add_output_args(table)
 
     verify = commands.add_parser("verify", help="run the identity suite")
     verify.add_argument(
@@ -186,7 +176,7 @@ def build_parser() -> _Parser:
     sweep = commands.add_parser(
         "sweep", help="run kinematics or drag over swept q and/or w"
     )
-    sweep.add_argument("base", choices=("kinematics", "drag"), help="command to sweep")
+    sweep.add_argument("base", choices=tuple(BASES), help="command to sweep")
     sweep.add_argument(
         "--sweep",
         action="append",
@@ -196,8 +186,8 @@ def build_parser() -> _Parser:
     )
     _add_lattice_args(sweep, required=False)
     sweep.add_argument("--v0", type=float, default=0.0, help="initial velocity")
-    _add_kinematics_args(sweep)
-    _add_drag_args(sweep)
+    for _, _, add_physics_args, _ in BASES.values():
+        add_physics_args(sweep)
     _add_time_args(sweep)
     sweep.add_argument(
         "--routes", default=None, help="comma-separated routes of the base command"
@@ -305,91 +295,37 @@ def _agreement_metadata(
     return out
 
 
-def _kinematics_evaluators(
-    state: KinematicState, params: DeformationParams, policy: TruncationPolicy
-) -> dict[str, Callable[[float], float]]:
-    x_w0 = position_at_fixed_point(state, params)
-    rhs = accel_quotient_velocity(state, params)
-    return {
-        "closed": lambda t: uniform_accel_position(state, t, params.q),
-        "iterative": lambda t: iterate_first_order(
-            rhs, t, params, x_w0, policy
-        ).value,
-        "second-order": lambda t: solve_second_order_constant_accel(
-            state, t, params, policy
-        ),
-        "classical": lambda t: state.x0 + state.v0 * t + 0.5 * state.a * t * t,
-    }
+_Evaluators = Callable[[DeformationParams], dict[str, Callable[[float], float]]]
 
 
-def _drag_evaluators(
-    dp: DragParams,
-    params: DeformationParams,
-    policy: TruncationPolicy,
-    n_steps: int,
-) -> dict[str, Callable[[float], float]]:
-    if dp.g == 0.0:
-        closed = lambda t: drag_velocity(dp, t, params, policy)
-        iterative = lambda t: drag_velocity_iterative(dp, t, params, n_steps)
-    else:
-        closed = lambda t: gravity_drag_velocity(dp, t, params, policy)
-        iterative = lambda t: gravity_drag_velocity_iterative(dp, t, params, n_steps)
-    return {
-        "closed": closed,
-        "series": lambda t: gravity_drag_velocity_series(dp, t, params, policy),
-        "iterative": iterative,
-        "classical": lambda t: classical_drag_velocity(dp, t),
-    }
-
-
-def _empty_requested_column(
-    requested: Sequence[str], columns: dict[str, list[float | None]]
-) -> bool:
-    return any(
-        columns[name] and all(value is None for value in columns[name])
-        for name in requested
-    )
-
-
-def _cmd_kinematics(args: argparse.Namespace, parser: _Parser) -> tuple[TrajectoryTable, int]:
-    params = _lattice_params(args.q, args.w, parser)
-    policy = _policy(args, parser)
-    ts = _time_grid(args, parser)
+def _kinematics_setup(
+    args: argparse.Namespace, parser: _Parser, policy: TruncationPolicy
+) -> tuple[dict[str, object], _Evaluators]:
     try:
         state = KinematicState(args.x0, args.v0, args.a)
     except ValueError as exc:
         parser.error(str(exc))
-    requested = _parse_routes(args.routes, KINEMATICS_ROUTES, parser)
-    route_names = list(requested)
-    if "classical" not in route_names:
-        route_names.append("classical")  # always carry the classical reference
-    evaluators = _kinematics_evaluators(state, params, policy)
-    columns, flags = _evaluate_block(ts, route_names, evaluators)
-    metadata: dict[str, object] = {
-        "command": "kinematics",
-        "q": params.q,
-        "w": params.w,
-        "w0": params.w0,
-        "x0": state.x0,
-        "v0": state.v0,
-        "a": state.a,
-        "t_start": args.t_start,
-        "t_end": args.t_end,
-        "samples": args.samples,
-        "routes": ",".join(route_names),
-        "tol": policy.tol,
-        "max_terms": policy.max_terms,
-    }
-    metadata.update(_agreement_metadata(requested, columns))
-    table = TrajectoryTable({"t": list(ts), **columns}, metadata, flags)
-    code = EXIT_EMPTY_COLUMN if _empty_requested_column(requested, columns) else EXIT_OK
-    return table, code
+
+    def evaluators(params: DeformationParams) -> dict[str, Callable[[float], float]]:
+        x_w0 = position_at_fixed_point(state, params)
+        rhs = accel_quotient_velocity(state, params)
+        return {
+            "closed": lambda t: uniform_accel_position(state, t, params.q),
+            "iterative": lambda t: iterate_first_order(
+                rhs, t, params, x_w0, policy
+            ).value,
+            "second-order": lambda t: solve_second_order_constant_accel(
+                state, t, params, policy
+            ),
+            "classical": lambda t: state.x0 + state.v0 * t + 0.5 * state.a * t * t,
+        }
+
+    return {"x0": state.x0, "v0": state.v0, "a": state.a}, evaluators
 
 
-def _cmd_drag(args: argparse.Namespace, parser: _Parser) -> tuple[TrajectoryTable, int]:
-    params = _lattice_params(args.q, args.w, parser)
-    policy = _policy(args, parser)
-    ts = _time_grid(args, parser)
+def _drag_setup(
+    args: argparse.Namespace, parser: _Parser, policy: TruncationPolicy
+) -> tuple[dict[str, object], _Evaluators]:
     try:
         dp = DragParams(m=args.m, k=args.k, g=args.g, v0=args.v0)
     except ValueError as exc:
@@ -399,30 +335,37 @@ def _cmd_drag(args: argparse.Namespace, parser: _Parser) -> tuple[TrajectoryTabl
     n_steps = args.iter_n
     if n_steps is None:
         n_steps = DEFAULT_ITER_N_PURE if dp.g == 0.0 else DEFAULT_ITER_N_GRAVITY
-    requested = _parse_routes(args.routes, DRAG_ROUTES, parser)
-    evaluators = _drag_evaluators(dp, params, policy, n_steps)
-    columns, flags = _evaluate_block(ts, requested, evaluators)
-    metadata: dict[str, object] = {
-        "command": "drag",
-        "q": params.q,
-        "w": params.w,
-        "w0": params.w0,
-        "m": dp.m,
-        "k": dp.k,
-        "g": dp.g,
-        "v0": dp.v0,
-        "iter_n": n_steps,
-        "t_start": args.t_start,
-        "t_end": args.t_end,
-        "samples": args.samples,
-        "routes": ",".join(requested),
-        "tol": policy.tol,
-        "max_terms": policy.max_terms,
-    }
-    metadata.update(_agreement_metadata(requested, columns))
-    table = TrajectoryTable({"t": list(ts), **columns}, metadata, flags)
-    code = EXIT_EMPTY_COLUMN if _empty_requested_column(requested, columns) else EXIT_OK
-    return table, code
+
+    def evaluators(params: DeformationParams) -> dict[str, Callable[[float], float]]:
+        if dp.g == 0.0:
+            closed = lambda t: drag_velocity(dp, t, params, policy)
+            iterative = lambda t: drag_velocity_iterative(dp, t, params, n_steps)
+        else:
+            closed = lambda t: gravity_drag_velocity(dp, t, params, policy)
+            iterative = lambda t: gravity_drag_velocity_iterative(dp, t, params, n_steps)
+        return {
+            "closed": closed,
+            "series": lambda t: gravity_drag_velocity_series(dp, t, params, policy),
+            "iterative": iterative,
+            "classical": lambda t: classical_drag_velocity(dp, t),
+        }
+
+    metadata = {"m": dp.m, "k": dp.k, "g": dp.g, "v0": dp.v0, "iter_n": n_steps}
+    return metadata, evaluators
+
+
+# The table commands: help text, route names, physics arguments, and a setup
+# that validates those arguments once and returns the command's metadata and
+# its per-(q, w) evaluator factory.
+BASES = {
+    "kinematics": (
+        "constant-acceleration trajectories on the lattice",
+        KINEMATICS_ROUTES,
+        _add_kinematics_args,
+        _kinematics_setup,
+    ),
+    "drag": ("resisted-fall velocities", DRAG_ROUTES, _add_drag_args, _drag_setup),
+}
 
 
 def _parse_sweeps(
@@ -452,67 +395,36 @@ def _parse_sweeps(
     return sweeps
 
 
-def _cmd_sweep(args: argparse.Namespace, parser: _Parser) -> tuple[TrajectoryTable, int]:
+def _cmd_table(args: argparse.Namespace, parser: _Parser) -> tuple[TrajectoryTable, int]:
+    """Evaluate a base command's routes on every (q, w) block of the grid.
+
+    kinematics and drag are a one-block sweep whose table has no q and w
+    columns and records q, w and w0 in place of the sweep metadata.
+    """
+    _, routes, _, setup = BASES[args.base]
+    sweeping = args.command == "sweep"
     policy = _policy(args, parser)
     ts = _time_grid(args, parser)
-    sweeps = _parse_sweeps(args.sweep, parser)
-    if "q" in sweeps:
-        q_values = sweeps["q"][1]
-    elif args.q is not None:
-        q_values = [args.q]
-    else:
-        parser.error("--q is required (directly or via --sweep q=...)")
-    if "w" in sweeps:
-        w_values = sweeps["w"][1]
-    else:
-        w_values = [0.0 if args.w is None else args.w]
-
-    allowed = KINEMATICS_ROUTES if args.base == "kinematics" else DRAG_ROUTES
+    sweeps = _parse_sweeps(args.sweep, parser) if sweeping else {}
+    q_values = sweeps["q"][1] if "q" in sweeps else [args.q]
+    w_values = sweeps["w"][1] if "w" in sweeps else [args.w]
+    grid = [_lattice_params(q, w, parser) for q in q_values for w in w_values]
     requested = _parse_routes(
-        args.routes if args.routes is not None else ",".join(allowed),
-        allowed,
-        parser,
+        ",".join(routes) if args.routes is None else args.routes, routes, parser
     )
     route_names = list(requested)
     if args.base == "kinematics" and "classical" not in route_names:
-        route_names.append("classical")
+        route_names.append("classical")  # always carry the classical reference
+    physics, evaluators = setup(args, parser, policy)
 
-    metadata: dict[str, object] = {"command": "sweep", "base": args.base}
-    for name in ("q", "w"):
-        if name in sweeps:
-            metadata[f"sweep_{name}"] = sweeps[name][0]
-    if "q" not in sweeps:
-        metadata["q"] = q_values[0]
-    if "w" not in sweeps:
-        metadata["w"] = w_values[0]
-
-    if args.base == "kinematics":
-        try:
-            state = KinematicState(args.x0, args.v0, args.a)
-        except ValueError as exc:
-            parser.error(str(exc))
-        metadata.update({"x0": state.x0, "v0": state.v0, "a": state.a})
-
-        def block_evaluators(params: DeformationParams) -> dict[str, Callable[[float], float]]:
-            return _kinematics_evaluators(state, params, policy)
-
+    first = grid[0]
+    if sweeping:
+        metadata: dict[str, object] = {"command": "sweep", "base": args.base}
+        metadata.update({f"sweep_{n}": sweeps[n][0] for n in ("q", "w") if n in sweeps})
+        metadata.update({n: getattr(first, n) for n in ("q", "w") if n not in sweeps})
     else:
-        try:
-            dp = DragParams(m=args.m, k=args.k, g=args.g, v0=args.v0)
-        except ValueError as exc:
-            parser.error(str(exc))
-        if args.iter_n is not None and args.iter_n < 0:
-            parser.error("--iter-n must be nonnegative")
-        n_steps = args.iter_n
-        if n_steps is None:
-            n_steps = DEFAULT_ITER_N_PURE if dp.g == 0.0 else DEFAULT_ITER_N_GRAVITY
-        metadata.update(
-            {"m": dp.m, "k": dp.k, "g": dp.g, "v0": dp.v0, "iter_n": n_steps}
-        )
-
-        def block_evaluators(params: DeformationParams) -> dict[str, Callable[[float], float]]:
-            return _drag_evaluators(dp, params, policy, n_steps)
-
+        metadata = {"command": args.base, "q": first.q, "w": first.w, "w0": first.w0}
+    metadata.update(physics)
     metadata.update(
         {
             "t_start": args.t_start,
@@ -524,30 +436,26 @@ def _cmd_sweep(args: argparse.Namespace, parser: _Parser) -> tuple[TrajectoryTab
         }
     )
 
-    columns: dict[str, list[float | None]] = {
-        "q": [],
-        "w": [],
-        "t": [],
-        **{name: [] for name in route_names},
-    }
+    columns: dict[str, list[float | None]] = {"q": [], "w": []} if sweeping else {}
+    columns["t"] = []
+    columns.update({name: [] for name in route_names})
     flags: list[str] = []
-    for q in q_values:
-        for w in w_values:
-            params = _lattice_params(q, w, parser)
-            block_columns, block_flags = _evaluate_block(
-                ts, route_names, block_evaluators(params)
-            )
-            columns["q"].extend([q] * len(ts))
-            columns["w"].extend([w] * len(ts))
-            columns["t"].extend(ts)
-            for name in route_names:
-                columns[name].extend(block_columns[name])
-            flags.extend(block_flags)
+    for params in grid:
+        block_columns, block_flags = _evaluate_block(ts, route_names, evaluators(params))
+        if sweeping:
+            columns["q"].extend([params.q] * len(ts))
+            columns["w"].extend([params.w] * len(ts))
+        columns["t"].extend(ts)
+        for name in route_names:
+            columns[name].extend(block_columns[name])
+        flags.extend(block_flags)
 
     metadata.update(_agreement_metadata(requested, columns))
-    table = TrajectoryTable(columns, metadata, flags)
-    code = EXIT_EMPTY_COLUMN if _empty_requested_column(requested, columns) else EXIT_OK
-    return table, code
+    empty = any(
+        columns[name] and all(value is None for value in columns[name])
+        for name in requested
+    )
+    return TrajectoryTable(columns, metadata, flags), EXIT_EMPTY_COLUMN if empty else EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
@@ -582,12 +490,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify":
         return _cmd_verify(args, parser)
-    if args.command == "kinematics":
-        table, code = _cmd_kinematics(args, parser)
-    elif args.command == "drag":
-        table, code = _cmd_drag(args, parser)
-    else:
-        table, code = _cmd_sweep(args, parser)
+    table, code = _cmd_table(args, parser)
     rendered = table.to_csv() if args.format == "csv" else table.to_json()
     sys.stdout.write(rendered)
     return code

@@ -14,7 +14,10 @@ q-calculus; as (q, w) -> (1, 0) it reduces to ordinary calculus.
 All functions are pure and safe for concurrent use.  Infinite sums and
 products are truncated under an explicit TruncationPolicy and raise
 NonConvergentError instead of returning partial answers when the stopping
-rule cannot be met.
+rule cannot be met.  Every infinite sum in the package stops by one rule,
+written once in _sum_until_small: CONSECUTIVE_SMALL successive terms below
+tol, with every summed term counted against max_terms.  Infinite products
+stop at the first factor 1 - q^k a with |q^k a| < tol.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterator
 
 from .errors import NonConvergentError, ZeroFactorWarning
 
@@ -98,7 +102,8 @@ class DeformationParams:
 class TruncationPolicy:
     """Stopping contract for infinite sums and products.
 
-    tol is an absolute term/factor threshold; max_terms bounds the work.
+    tol is an absolute term/factor threshold; max_terms bounds the terms
+    summed or factors multiplied, counting every one.
     Every evaluation either meets its stopping rule or raises
     NonConvergentError; there is no silent partial result.
     """
@@ -114,6 +119,37 @@ class TruncationPolicy:
 
 
 DEFAULT_POLICY = TruncationPolicy()
+
+
+def _sum_until_small(
+    terms: Iterator[float],
+    policy: TruncationPolicy,
+    scale: float,
+    what: str,
+    *args: object,
+) -> tuple[float, int]:
+    """Sum an infinite series under policy; return (sum, terms summed).
+
+    The one stopping rule for every series in the package: the sum stops
+    after CONSECUTIVE_SMALL successive terms with |term| * scale <
+    policy.tol, and every term counts against policy.max_terms.  Terms are
+    accumulated with exactly rounded summation.  Raises NonConvergentError,
+    naming the series as what.format(*args), when the budget runs out first.
+    """
+    summed: list[float] = []
+    small = 0
+    for term in islice(terms, policy.max_terms):
+        summed.append(term)
+        if abs(term) * scale < policy.tol:
+            small += 1
+            if small == CONSECUTIVE_SMALL:
+                return math.fsum(summed), len(summed)
+        else:
+            small = 0
+    raise NonConvergentError(
+        f"{what.format(*args)} did not meet its stopping rule within "
+        f"{policy.max_terms} terms"
+    )
 
 
 def q_number(k: int, q: float) -> float:
@@ -269,29 +305,22 @@ def hahn_integral(
     Evaluates ((1 - q)t - w) * sum_{k>=0} q^k f(q^k t + [k]_{q,w}), the
     inverse of the Hahn derivative anchored at the fixed point.  The series
     stops once |q^k f| |(1-q)t - w| < policy.tol for CONSECUTIVE_SMALL
-    successive k; terms are accumulated with exactly rounded summation.
+    successive k (see _sum_until_small).
 
     Raises NonConvergentError if max_terms is reached first.
     """
     q = params.q
     prefactor = (1.0 - q) * t - params.w
-    terms: list[float] = []
-    small = 0
-    qk = 1.0
-    for _ in range(policy.max_terms):
-        point = qk * t + params.w * (1.0 - qk) / (1.0 - q)
-        terms.append(qk * f(point))
-        if abs(terms[-1]) * abs(prefactor) < policy.tol:
-            small += 1
-            if small >= CONSECUTIVE_SMALL:
-                return prefactor * math.fsum(terms)
-        else:
-            small = 0
-        qk *= q
-    raise NonConvergentError(
-        f"Hahn integral at t={t!r} did not meet its stopping rule within "
-        f"{policy.max_terms} terms"
-    )
+
+    def terms() -> Iterator[float]:
+        qk = 1.0
+        while True:
+            point = qk * t + params.w * (1.0 - qk) / (1.0 - q)
+            yield qk * f(point)
+            qk *= q
+
+    total, _ = _sum_until_small(terms(), policy, abs(prefactor), "Hahn integral at t={!r}", t)
+    return prefactor * total
 
 
 def qw_polynomial(t: float, n: int, params: DeformationParams) -> float:

@@ -23,19 +23,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
+from typing import Iterator
 
 from .core import (
-    CONSECUTIVE_SMALL,
     DEFAULT_POLICY,
     W0_BRANCH_RTOL,
     DeformationParams,
     ScalarFunction,
     TruncationPolicy,
     _check_q,
+    _sum_until_small,
     advance_n,
     lattice_step,
 )
-from .errors import NonConvergentError
 
 __all__ = [
     "KinematicState",
@@ -152,36 +153,26 @@ def iterate_first_order(
 
         x(t) = x(w0) - sum_k u_k rhs(t_k),   u_k = q^k ((q-1)t + w).
 
-    Increments are accumulated in ascending k with exactly rounded
-    summation; the sum stops after CONSECUTIVE_SMALL successive increments
-    below policy.tol and raises NonConvergentError if policy.max_terms is
-    reached first.
+    Increments are summed in ascending k under policy by the package's one
+    stopping rule (core._sum_until_small), which raises NonConvergentError
+    if policy.max_terms increments do not meet it.
     """
     q = params.q
+    w = params.w
     u0 = lattice_step(t, params)
-    terms: list[float] = []
-    qk = 1.0
-    small = 0
-    steps = 0
-    for k in range(policy.max_terms):
-        term = -u0 * qk * rhs(advance_n(t, k, params))
-        terms.append(term)
-        qk *= q
-        steps = k + 1
-        if abs(term) < policy.tol:
-            small += 1
-            if small >= CONSECUTIVE_SMALL:
-                break
-        else:
-            small = 0
-    else:
-        raise NonConvergentError(
-            f"first-order iteration at t={t!r} did not meet its stopping "
-            f"rule within {policy.max_terms} increments"
-        )
-    value = x_at_w0 + math.fsum(terms)
+
+    def increments() -> Iterator[float]:
+        qk = 1.0
+        for k in count():
+            qn = q**k  # advance_n(t, k, params), inlined in its exact form
+            yield -u0 * qk * rhs(qn * t + w * (1.0 - qn) / (1.0 - q))
+            qk *= q
+
+    total, steps = _sum_until_small(
+        increments(), policy, 1.0, "first-order iteration at t={!r}", t
+    )
     residual = abs(advance_n(t, steps, params) - params.w0)
-    return IterationReport(value=value, steps=steps, residual=residual)
+    return IterationReport(value=x_at_w0 + total, steps=steps, residual=residual)
 
 
 def solve_second_order_constant_accel(

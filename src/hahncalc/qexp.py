@@ -17,19 +17,20 @@ All three reduce to exp as (q, w) -> (1, 0).
 
 from __future__ import annotations
 
-import math
+from itertools import count
+from typing import Iterator
 
 from .core import (
-    CONSECUTIVE_SMALL,
     DEFAULT_POLICY,
     DeformationParams,
     TruncationPolicy,
     _check_q,
     _qpochhammer_inf,
+    _sum_until_small,
     lattice_step,
     q_factorial,
 )
-from .errors import NonConvergentError, OutOfRadiusError, PoleEncounteredError
+from .errors import OutOfRadiusError, PoleEncounteredError
 
 __all__ = ["exp_qw", "exp_q_series", "exp_qinv_series", "odd_part_qinv"]
 
@@ -71,8 +72,8 @@ def exp_q_series(x: float, q: float, policy: TruncationPolicy = DEFAULT_POLICY) 
     The series converges only for |x| < 1/(1-q); arguments at or beyond the
     radius raise OutOfRadiusError instead of returning a divergent partial
     sum.  Terms are generated by the ratio recurrence t_n = t_{n-1} x/[n]_q
-    and accumulated with exactly rounded summation; the sum stops after
-    CONSECUTIVE_SMALL successive terms below policy.tol.
+    and summed under policy by the package's one stopping rule
+    (core._sum_until_small).
     """
     _check_q(q)
     if abs(x) * (1.0 - q) >= 1.0 - OUT_OF_RADIUS_MARGIN:
@@ -80,24 +81,16 @@ def exp_q_series(x: float, q: float, policy: TruncationPolicy = DEFAULT_POLICY) 
             f"|x|(1-q) = {abs(x) * (1.0 - q)!r} >= 1: x={x!r} lies outside "
             f"the convergence radius 1/(1-q) for q={q!r}"
         )
-    terms = [1.0]
-    term = 1.0
-    qn = 1.0
-    small = 0
-    for _ in range(policy.max_terms):
-        qn *= q
-        term *= x * (1.0 - q) / (1.0 - qn)
-        terms.append(term)
-        if abs(term) < policy.tol:
-            small += 1
-            if small >= CONSECUTIVE_SMALL:
-                return math.fsum(terms)
-        else:
-            small = 0
-    raise NonConvergentError(
-        f"e_q series at x={x!r}, q={q!r} did not meet its stopping rule "
-        f"within {policy.max_terms} terms"
-    )
+
+    def terms() -> Iterator[float]:
+        term = 1.0
+        qn = 1.0
+        while True:
+            yield term
+            qn *= q
+            term *= x * (1.0 - q) / (1.0 - qn)
+
+    return _sum_until_small(terms(), policy, 1.0, "e_q series at x={!r}, q={!r}", x, q)[0]
 
 
 def exp_qinv_series(x: float, q: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
@@ -109,26 +102,18 @@ def exp_qinv_series(x: float, q: float, policy: TruncationPolicy = DEFAULT_POLIC
     q^(-j)-sized quantity is ever formed.
     """
     _check_q(q)
-    terms = [1.0]
-    term = 1.0
-    qn = 1.0
-    qpow = 1.0  # q^(n-1) ahead of term n
-    small = 0
-    for _ in range(policy.max_terms):
-        qn *= q
-        term *= qpow * x * (1.0 - q) / (1.0 - qn)
-        qpow *= q
-        terms.append(term)
-        if abs(term) < policy.tol:
-            small += 1
-            if small >= CONSECUTIVE_SMALL:
-                return math.fsum(terms)
-        else:
-            small = 0
-    raise NonConvergentError(
-        f"e_(1/q) series at x={x!r}, q={q!r} did not meet its stopping rule "
-        f"within {policy.max_terms} terms"
-    )
+
+    def terms() -> Iterator[float]:
+        term = 1.0
+        qn = 1.0
+        qpow = 1.0  # q^(n-1) ahead of term n
+        while True:
+            yield term
+            qn *= q
+            term *= qpow * x * (1.0 - q) / (1.0 - qn)
+            qpow *= q
+
+    return _sum_until_small(terms(), policy, 1.0, "e_(1/q) series at x={!r}, q={!r}", x, q)[0]
 
 
 def odd_part_qinv(
@@ -148,20 +133,14 @@ def odd_part_qinv(
     """
     _check_q(q)
     lhs = exp_qinv_series(a, q, policy) - exp_qinv_series(-a, q, policy)
-    terms: list[float] = []
-    small = 0
-    for n in range(policy.max_terms):
-        m = 2 * n + 1
-        # n*m = m(m-1)/2: the damping exponent of the 1/q-factorial rewrite.
-        term = 2.0 * q ** (n * m) * a**m / q_factorial(m, q)
-        terms.append(term)
-        if abs(term) < policy.tol:
-            small += 1
-            if small >= CONSECUTIVE_SMALL:
-                return lhs, math.fsum(terms)
-        else:
-            small = 0
-    raise NonConvergentError(
-        f"odd-part series at a={a!r}, q={q!r} did not meet its stopping rule "
-        f"within {policy.max_terms} terms"
+
+    def odd_terms() -> Iterator[float]:
+        for n in count():
+            m = 2 * n + 1
+            # n*m = m(m-1)/2: the damping exponent of the 1/q-factorial rewrite.
+            yield 2.0 * q ** (n * m) * a**m / q_factorial(m, q)
+
+    rhs, _ = _sum_until_small(
+        odd_terms(), policy, 1.0, "odd-part series at a={!r}, q={!r}", a, q
     )
+    return lhs, rhs

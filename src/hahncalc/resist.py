@@ -24,20 +24,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
+from typing import Iterator
 
 from .core import (
-    CONSECUTIVE_SMALL,
     DEFAULT_POLICY,
     ZERO_FACTOR_TOL,
     DeformationParams,
     TruncationPolicy,
     _check_count,
     _check_q,
-    advance_n,
+    _sum_until_small,
     lattice_step,
     q_number,
 )
-from .errors import NonConvergentError, ZeroFactorError
+from .errors import ZeroFactorError
 from .qexp import exp_qinv_series, exp_qw
 
 __all__ = [
@@ -129,7 +130,7 @@ def drag_velocity_iterative(
     independent oracle for drag_velocity.  Raises ZeroFactorError when a
     denominator factor vanishes within tolerance.
     """
-    _check_count(n_steps)
+    _check_count(n_steps, "n_steps")
     z = kappa(dp, params.q) * lattice_step(t, params)
     ratio = 1.0
     zj = z
@@ -199,29 +200,17 @@ def gravity_drag_velocity_series(
     e_plus = exp_qw(rate, t, params, policy)
     x_arg = rate * (t - params.w0)
     x_sq = x_arg * x_arg
-    terms = [x_arg]  # n = 0 term: q^0 X / [1]_q!
-    term = x_arg
-    small = 1 if abs(x_arg) < policy.tol else 0
-    converged = small >= CONSECUTIVE_SMALL
-    if not converged:
-        for n in range(policy.max_terms):
+
+    def odd_terms() -> Iterator[float]:
+        term = x_arg  # n = 0 term: q^0 X / [1]_q!
+        for n in count():
+            yield term
             term *= q ** (4 * n + 3) * x_sq / (
                 q_number(2 * n + 2, q) * q_number(2 * n + 3, q)
             )
-            terms.append(term)
-            if abs(term) < policy.tol:
-                small += 1
-                if small >= CONSECUTIVE_SMALL:
-                    converged = True
-                    break
-            else:
-                small = 0
-        if not converged:
-            raise NonConvergentError(
-                f"odd drag series at t={t!r} did not meet its stopping rule "
-                f"within {policy.max_terms} terms"
-            )
-    driven = (1.0 + q) * dp.m * dp.g / dp.k * e_minus * math.fsum(terms)
+
+    odd_sum, _ = _sum_until_small(odd_terms(), policy, 1.0, "odd drag series at t={!r}", t)
+    driven = (1.0 + q) * dp.m * dp.g / dp.k * e_minus * odd_sum
     return dp.v0 * e_minus / e_plus + driven
 
 
@@ -244,7 +233,7 @@ def gravity_drag_velocity_iterative(
     and the series resummation.  Raises ZeroFactorError when a factor
     1 - kappa u_j vanishes within tolerance.
     """
-    _check_count(n_steps)
+    _check_count(n_steps, "n_steps")
     rate = kappa(dp, params.q)
     u0 = lattice_step(t, params)
     v = dp.v0
@@ -294,7 +283,7 @@ def gravity_kernel_iteration_sum(z: float, q: float, n_steps: int) -> float:
     denominator factor.
     """
     _check_q(q)
-    _check_count(n_steps)
+    _check_count(n_steps, "n_steps")
     total: list[float] = []
     qj = 1.0
     num = 1.0  # (-z; q)_j
@@ -327,7 +316,7 @@ def gravity_kernel_resummed(z: float, q: float, n_steps: int) -> float:
     response.
     """
     _check_q(q)
-    _check_count(n_steps)
+    _check_count(n_steps, "n_steps")
     den = _q_shifted_checked(z, q, n_steps)
     # Gaussian binomials via the (q; q) factorials, built incrementally.
     qq = [1.0]

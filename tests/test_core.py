@@ -7,14 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hahncalc import (
+    CONSECUTIVE_SMALL,
     DeformationParams,
+    DragParams,
     NonConvergentError,
     TruncationPolicy,
     ZeroFactorWarning,
     advance,
     advance_n,
     hahn_derivative,
+    exp_q_series,
+    exp_qinv_series,
+    gravity_drag_velocity_series,
     hahn_integral,
+    iterate_first_order,
+    odd_part_qinv,
     q_factorial,
     q_inv_factorial,
     q_number,
@@ -259,6 +266,48 @@ def test_fundamental_theorem_on_square(t):
 def test_integral_nonconvergent_on_tiny_budget():
     with pytest.raises(NonConvergentError):
         hahn_integral(lambda s: 1.0, 2.0, P, TruncationPolicy(tol=1e-14, max_terms=4))
+
+
+# Each entry point with every term after the first zero, and the budget it
+# needs: CONSECUTIVE_SMALL zero terms, plus the leading 1 of an exponential.
+# At t = w0 = 0 the drag series' exponential factors are exactly 1.
+JACKSON = DeformationParams(q=0.5)
+BUDGETS = {
+    "hahn_integral": (
+        lambda policy: hahn_integral(lambda s: 0.0, 1.0, JACKSON, policy),
+        CONSECUTIVE_SMALL,
+    ),
+    "exp_q_series": (
+        lambda policy: exp_q_series(0.0, 0.5, policy),
+        CONSECUTIVE_SMALL + 1,
+    ),
+    "exp_qinv_series": (
+        lambda policy: exp_qinv_series(0.0, 0.5, policy),
+        CONSECUTIVE_SMALL + 1,
+    ),
+    "odd_part_qinv": (
+        lambda policy: odd_part_qinv(0.0, 0.5, policy),
+        CONSECUTIVE_SMALL + 1,
+    ),
+    "iterate_first_order": (
+        lambda policy: iterate_first_order(lambda s: 0.0, 1.0, JACKSON, 0.0, policy),
+        CONSECUTIVE_SMALL,
+    ),
+    "gravity_drag_velocity_series": (
+        lambda policy: gravity_drag_velocity_series(
+            DragParams(m=1.0, k=0.5, g=9.8, v0=0.0), 0.0, JACKSON, policy
+        ),
+        CONSECUTIVE_SMALL,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BUDGETS)
+def test_every_summed_term_counts_against_max_terms(name):
+    evaluate, needed = BUDGETS[name]
+    evaluate(TruncationPolicy(max_terms=needed))
+    with pytest.raises(NonConvergentError):
+        evaluate(TruncationPolicy(max_terms=needed - 1))
 
 
 # ---------------------------------------------------------------------------

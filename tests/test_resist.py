@@ -300,6 +300,21 @@ def test_kernel_resummation_identity(z, q, n_steps):
     assert abs(lhs - rhs) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda n: drag_velocity_iterative(PURE, 1.0, P, n),
+        lambda n: gravity_drag_velocity_iterative(GRAV, 1.0, P, n),
+        lambda n: gravity_kernel_iteration_sum(0.3, 0.5, n),
+        lambda n: gravity_kernel_resummed(0.3, 0.5, n),
+    ],
+    ids=["drag", "gravity", "iteration_sum", "resummed"],
+)
+def test_negative_depth_names_n_steps(evaluate):
+    with pytest.raises(ValueError, match="n_steps"):
+        evaluate(-1)
+
+
 def test_kernel_zero_factor_raises():
     with pytest.raises(ZeroFactorError):
         gravity_kernel_iteration_sum(1.0, 0.5, 4)
