@@ -436,9 +436,10 @@ def _cmd_table(args: argparse.Namespace, parser: _Parser) -> tuple[TrajectoryTab
         }
     )
 
-    columns: dict[str, list[float | None]] = {"q": [], "w": []} if sweeping else {}
-    columns["t"] = []
-    columns.update({name: [] for name in route_names})
+    axes = ("q", "w") if sweeping else ()
+    columns: dict[str, list[float | None]] = {
+        name: [] for name in (*axes, "t", *route_names)
+    }
     flags: list[str] = []
     for params in grid:
         block_columns, block_flags = _evaluate_block(ts, route_names, evaluators(params))

@@ -19,11 +19,10 @@ import sys
 
 import pytest
 
-from hahncalc.cli import main
+from hahncalc.cli import EXIT_USAGE, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
-EXIT_USAGE = 1
 
 
 def run(argv):
