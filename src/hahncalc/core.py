@@ -16,8 +16,13 @@ products are truncated under an explicit TruncationPolicy and raise
 NonConvergentError instead of returning partial answers when the stopping
 rule cannot be met.  Every infinite sum in the package stops by one rule,
 written once in _sum_until_small: CONSECUTIVE_SMALL successive terms below
-tol, with every summed term counted against max_terms.  Infinite products
-stop at the first factor 1 - q^k a with |q^k a| < tol.
+tol, with every summed term counted against max_terms.  The infinite
+product (a; q)_inf has two routes, picked per call by _qpochhammer_inf from
+its arguments: factors 1 - q^k a multiplied up to the first one with
+|q^k a| < tol, whose length grows like 1/(1 - q), or, for tol <= |a| < 1
+where it is cheaper, exp of the log series
+log (a; q)_inf = -sum_n a^n/(n(1 - q^n)), summed by that one rule, whose
+length does not depend on q.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import count, islice
 from typing import Callable, Iterator
 
 from .errors import NonConvergentError, ZeroFactorWarning
@@ -64,6 +69,15 @@ ZERO_FACTOR_TOL = 1e-13
 # Stopping rules demand this many consecutive sub-tolerance terms, which
 # guards series whose terms vanish on a parity pattern.
 CONSECUTIVE_SMALL = 3
+
+# Cost of one log-series term of (a; q)_inf in units of one product factor.
+# Timed with timeit (best of 7) on CPython 3.11, 2 vCPUs, over |a| in
+# [1e-6, 0.9] and q in [0.3, 0.97], with a least-squares line per route:
+# 100-150 ns per factor against 190-290 ns per term (a ratio of 1.9-2.9),
+# plus a fixed 1.5-5 us per series call.  The route choice charges this
+# ratio on K_log + CONSECUTIVE_SMALL terms, which also covers part of the
+# fixed cost; near a tie either route is about as fast.
+LOG_SERIES_TERM_COST = 3.0
 
 
 def _check_q(q: float) -> None:
@@ -212,15 +226,36 @@ def q_shifted_factorial(a: float, q: float, N: int) -> float:
 def _qpochhammer_inf(a: float, q: float, policy: TruncationPolicy) -> tuple[float, bool]:
     """Evaluate (a; q)_infinity; return (value, zero_factor_hit).
 
-    Factors 1 - q^k a are multiplied while |q^k a| >= policy.tol; the
-    neglected tail perturbs the product by a relative amount of roughly
-    |q^k a|/(1 - q) at the stopping index.  A factor within ZERO_FACTOR_TOL
-    of 0 makes the product exactly 0 and is reported via the flag.
+    Two routes, chosen from the arguments before anything is summed:
+
+    * product: factors 1 - q^k a are multiplied while |q^k a| >= policy.tol,
+      about K_prod = log(tol/|a|)/log q of them; the neglected tail perturbs
+      the product by a relative amount of roughly |q^k a|/(1 - q) at the
+      stopping index.  A factor within ZERO_FACTOR_TOL of 0 makes the product
+      exactly 0 and is reported via the flag.
+    * log series: exp(-sum_{n>=1} a^n/(n(1 - q^n))), summed by
+      _sum_until_small in about K_log = log(tol (1 - |a|))/log|a| terms
+      whatever q is.  It is taken only for tol <= |a| < 1 - ZERO_FACTOR_TOL,
+      where no factor can vanish, and only when LOG_SERIES_TERM_COST times
+      its term count (K_log plus the CONSECUTIVE_SMALL terms that confirm
+      the stop) is below K_prod.
+
+    Both routes raise NonConvergentError when max_terms runs out first.
     """
+    size = abs(a)
+    tol = policy.tol
+    # For |a| >= q the series never has fewer terms than the product.
+    if tol <= size < min(q, 1.0 - ZERO_FACTOR_TOL):
+        log_q = math.log(q)
+        log_size = math.log(size)
+        k_prod = (math.log(tol) - log_size) / log_q
+        k_log = math.log(tol * (1.0 - size)) / log_size + CONSECUTIVE_SMALL
+        if LOG_SERIES_TERM_COST * k_log < k_prod:
+            return _qpochhammer_log_series(a, q, log_q, policy), False
     product = 1.0
     scaled = a
     for _ in range(policy.max_terms):
-        if abs(scaled) < policy.tol:
+        if abs(scaled) < tol:
             return product, False
         factor = 1.0 - scaled
         if abs(factor) < ZERO_FACTOR_TOL:
@@ -231,6 +266,28 @@ def _qpochhammer_inf(a: float, q: float, policy: TruncationPolicy) -> tuple[floa
         f"(a;q)_inf with a={a!r}, q={q!r} did not reach tol={policy.tol!r} "
         f"within {policy.max_terms} factors"
     )
+
+
+def _qpochhammer_log_series(a: float, q: float, log_q: float, policy: TruncationPolicy) -> float:
+    """(a; q)_infinity for |a| < 1 as exp(-sum_{n>=1} a^n/(n(1 - q^n))).
+
+    1 - q^n is formed as -expm1(n log q), which keeps its relative accuracy
+    as q -> 1.  A sum past the double range gives inf, as the product would.
+    """
+
+    def terms() -> Iterator[float]:
+        power = a
+        for n in count(1):
+            yield power / (n * -math.expm1(n * log_q))
+            power *= a
+
+    log_sum, _ = _sum_until_small(
+        terms(), policy, 1.0, "(a;q)_inf log series with a={!r}, q={!r}", a, q
+    )
+    try:
+        return math.exp(-log_sum)
+    except OverflowError:
+        return math.inf
 
 
 def q_shifted_factorial_inf(a: float, q: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:

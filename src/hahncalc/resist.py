@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count
 from typing import Iterator
 
@@ -36,7 +37,6 @@ from .core import (
     _check_q,
     _sum_until_small,
     lattice_step,
-    q_number,
 )
 from .errors import ZeroFactorError
 from .qexp import exp_qinv_series, exp_qw
@@ -90,6 +90,22 @@ def kappa(dp: DragParams, q: float) -> float:
     return dp.k / (dp.m * (1.0 + q))
 
 
+@lru_cache(maxsize=1)
+def _homogeneous_pair(
+    dp: DragParams,
+    t: float,
+    params: DeformationParams,
+    policy: TruncationPolicy,
+) -> tuple[float, float]:
+    """(e_{q,w}(-kappa t), e_{q,w}(kappa t)), the homogeneous drag factors.
+
+    The closed and series routes of one table row share them, so the last
+    argument set is memoised; all four arguments are frozen and hashable.
+    """
+    rate = kappa(dp, params.q)
+    return exp_qw(-rate, t, params, policy), exp_qw(rate, t, params, policy)
+
+
 def drag_velocity(
     dp: DragParams,
     t: float,
@@ -102,12 +118,8 @@ def drag_velocity(
     exactly at t = w0.  Raises PoleEncounteredError at the real poles of
     the denominator exponential and propagates NonConvergentError.
     """
-    rate = kappa(dp, params.q)
-    return (
-        dp.v0
-        * exp_qw(-rate, t, params, policy)
-        / exp_qw(rate, t, params, policy)
-    )
+    e_minus, e_plus = _homogeneous_pair(dp, t, params, policy)
+    return dp.v0 * e_minus / e_plus
 
 
 def drag_velocity_iterative(
@@ -131,18 +143,18 @@ def drag_velocity_iterative(
     denominator factor vanishes within tolerance.
     """
     _check_count(n_steps, "n_steps")
-    z = kappa(dp, params.q) * lattice_step(t, params)
+    q = params.q
+    z = kappa(dp, q) * lattice_step(t, params)
     ratio = 1.0
     zj = z
     for j in range(n_steps):
         denom = 1.0 - zj
         if abs(denom) < ZERO_FACTOR_TOL:
             raise ZeroFactorError(
-                f"denominator factor 1 - q^{j} z vanishes for z={z!r}, "
-                f"q={params.q!r}"
+                f"denominator factor 1 - q^{j} z vanishes for z={z!r}, q={q!r}"
             )
         ratio *= (1.0 + zj) / denom
-        zj *= params.q
+        zj *= q
     return dp.v0 * ratio
 
 
@@ -164,10 +176,8 @@ def gravity_drag_velocity(
     Raises PoleEncounteredError at poles of the deformed exponentials and
     propagates NonConvergentError.
     """
-    rate = kappa(dp, params.q)
-    e_minus = exp_qw(-rate, t, params, policy)
-    e_plus = exp_qw(rate, t, params, policy)
-    x_arg = rate * (t - params.w0)
+    e_minus, e_plus = _homogeneous_pair(dp, t, params, policy)
+    x_arg = kappa(dp, params.q) * (t - params.w0)
     bracket = exp_qinv_series(x_arg, params.q, policy) - exp_qinv_series(
         -x_arg, params.q, policy
     )
@@ -194,11 +204,9 @@ def gravity_drag_velocity_series(
     combined truncation error is the resummation check between the two ways
     of writing the driven response.
     """
-    rate = kappa(dp, params.q)
     q = params.q
-    e_minus = exp_qw(-rate, t, params, policy)
-    e_plus = exp_qw(rate, t, params, policy)
-    x_arg = rate * (t - params.w0)
+    e_minus, e_plus = _homogeneous_pair(dp, t, params, policy)
+    x_arg = kappa(dp, q) * (t - params.w0)
     x_sq = x_arg * x_arg
 
     def odd_terms() -> Iterator[float]:
@@ -206,7 +214,8 @@ def gravity_drag_velocity_series(
         for n in count():
             yield term
             term *= q ** (4 * n + 3) * x_sq / (
-                q_number(2 * n + 2, q) * q_number(2 * n + 3, q)
+                (1.0 - q ** (2 * n + 2)) / (1.0 - q)
+                * ((1.0 - q ** (2 * n + 3)) / (1.0 - q))
             )
 
     odd_sum, _ = _sum_until_small(odd_terms(), policy, 1.0, "odd drag series at t={!r}", t)
@@ -234,18 +243,21 @@ def gravity_drag_velocity_iterative(
     1 - kappa u_j vanishes within tolerance.
     """
     _check_count(n_steps, "n_steps")
-    rate = kappa(dp, params.q)
+    q = params.q
+    g = dp.g
+    rate = kappa(dp, q)
     u0 = lattice_step(t, params)
     v = dp.v0
     for j in range(n_steps - 1, -1, -1):
-        uj = u0 * params.q**j
-        denom = 1.0 - rate * uj
+        uj = u0 * q**j
+        drag = rate * uj
+        denom = 1.0 - drag
         if abs(denom) < ZERO_FACTOR_TOL:
             raise ZeroFactorError(
                 f"denominator factor 1 - kappa u_{j} vanishes for t={t!r}, "
-                f"q={params.q!r}, w={params.w!r}"
+                f"q={q!r}, w={params.w!r}"
             )
-        v = (-dp.g * uj + (1.0 + rate * uj) * v) / denom
+        v = (-g * uj + (1.0 + drag) * v) / denom
     return v
 
 

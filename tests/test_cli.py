@@ -217,6 +217,19 @@ def test_drag_nonconvergent_budget_exit_3():
     assert rows[0][-1] == "nonconvergent"
 
 
+def test_drag_classical_limit_fits_small_budget():
+    # Near q = 1 the product needs ~3000 factors; the log series needs < 30 terms.
+    proc = run_cli(
+        "drag", "--q", "0.99", "--w", "0.5", "--g", "9.8", "--v0", "1",
+        "--t-start", "0", "--t-end", "2", "--samples", "9",
+        "--routes", "closed,series", "--max-terms", "500",
+    )
+    assert proc.returncode == 0
+    _, _, rows = parse_csv(proc.stdout)
+    assert len(rows) == 9
+    assert all(row[-1] == "ok" for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # verify command
 

@@ -6,17 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hahncalc import core
 from hahncalc import (
     CONSECUTIVE_SMALL,
     DeformationParams,
     DragParams,
     NonConvergentError,
+    PoleEncounteredError,
     TruncationPolicy,
     ZeroFactorWarning,
     advance,
     advance_n,
     hahn_derivative,
     exp_q_series,
+    exp_qw,
     exp_qinv_series,
     gravity_drag_velocity_series,
     hahn_integral,
@@ -176,6 +179,86 @@ def test_shifted_factorial_inf_zero_factor_flags_and_returns_zero():
 def test_shifted_factorial_inf_nonconvergent_on_tiny_budget():
     with pytest.raises(NonConvergentError):
         q_shifted_factorial_inf(0.9, 0.99, TruncationPolicy(tol=1e-14, max_terms=5))
+
+
+# ---------------------------------------------------------------------------
+# the two routes of (a; q)_inf
+
+
+@pytest.fixture
+def log_series_calls(monkeypatch):
+    """Record each call of the log-series route of (a; q)_inf."""
+    calls = []
+    original = core._qpochhammer_log_series
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(core, "_qpochhammer_log_series", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "a, q, log_route",
+    [
+        (0.3, 0.999, True),
+        (-0.6, 0.99, True),
+        (0.9, 0.99, True),
+        (0.01, 0.5, True),
+        (0.3, 0.3, False),  # |a| >= q: the product is never longer
+        (0.6, 0.5, False),
+        (0.999, 0.99, False),  # series needs ~36000 terms as |a| -> 1
+        (1e-6, 0.3, False),  # a handful of factors beats the series' fixed cost
+        (1e-15, 0.999, False),  # below tol: no factor at all
+    ],
+)
+def test_log_series_route_taken_only_where_cheaper(a, q, log_route, log_series_calls):
+    q_shifted_factorial_inf(a, q)
+    assert bool(log_series_calls) == log_route
+
+
+@pytest.mark.parametrize("q", [0.5, 0.999])
+@pytest.mark.parametrize("a", [0.0, 1e-15, -9e-15])
+def test_shifted_factorial_inf_below_tol_is_exactly_one(a, q, log_series_calls):
+    assert q_shifted_factorial_inf(a, q) == 1.0
+    assert not log_series_calls
+
+
+def test_exp_qw_pole_still_raises_near_classical_limit():
+    # The argument -a (q - 1) t equals 1 at t = 1/(a (1 - q)): factor k = 0 vanishes.
+    params = DeformationParams(q=0.99, w=0.0)
+    with pytest.raises(PoleEncounteredError):
+        exp_qw(1.0, 100.0, params)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_shifted_factorial_inf_zero_factor_near_classical_limit(k):
+    q = 0.99
+    with pytest.warns(ZeroFactorWarning):
+        value = q_shifted_factorial_inf(q**-k, q)
+    assert value == 0.0
+
+
+def test_log_series_route_nonconvergent_on_tiny_budget():
+    with pytest.raises(NonConvergentError, match="log series"):
+        q_shifted_factorial_inf(0.3, 0.999, TruncationPolicy(max_terms=3))
+
+
+def test_log_series_route_overflows_to_inf_like_the_product(log_series_calls):
+    # log (-0.9; q)_inf ~ 0.75/(1 - q) exceeds the double range at q = 0.999.
+    assert q_shifted_factorial(-0.9, 0.999, 40_000) == math.inf
+    assert q_shifted_factorial_inf(-0.9, 0.999) == math.inf
+    assert log_series_calls
+
+
+@pytest.mark.parametrize("q", [0.9, 0.99, 0.999])
+@pytest.mark.parametrize("a", [-0.6, -0.05, 0.05, 0.3, 0.6])
+def test_both_routes_agree(a, q):
+    policy = TruncationPolicy(max_terms=10**6)
+    log_series = core._qpochhammer_log_series(a, q, math.log(q), policy)
+    product = q_shifted_factorial(a, q, math.ceil(math.log(1e-17) / math.log(q)))
+    assert log_series == pytest.approx(product, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

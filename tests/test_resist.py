@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hahncalc import resist
 from hahncalc import (
     DeformationParams,
     DragParams,
+    TruncationPolicy,
     ZeroFactorError,
     classical_drag_velocity,
     drag_velocity,
     drag_velocity_iterative,
+    exp_qw,
     gravity_drag_velocity,
     gravity_drag_velocity_iterative,
     gravity_drag_velocity_series,
@@ -320,3 +323,54 @@ def test_kernel_zero_factor_raises():
         gravity_kernel_iteration_sum(1.0, 0.5, 4)
     with pytest.raises(ZeroFactorError):
         gravity_kernel_resummed(1.0, 0.5, 4)
+
+
+# ---------------------------------------------------------------------------
+# the homogeneous factor, once per row
+
+
+@pytest.fixture
+def exp_qw_calls(monkeypatch):
+    """Count calls of exp_qw made through resist, with an empty memo."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return exp_qw(*args)
+
+    monkeypatch.setattr(resist, "exp_qw", counting)
+    resist._homogeneous_pair.cache_clear()
+    return calls
+
+
+@pytest.mark.parametrize("g", [0.0, 9.8])
+def test_closed_and_series_share_the_homogeneous_factor(g, exp_qw_calls):
+    dp = DragParams(m=1.0, k=0.5, g=g, v0=1.0)
+    params = DeformationParams(q=0.99, w=0.5)
+    closed = drag_velocity if g == 0.0 else gravity_drag_velocity
+    closed(dp, 0.7, params)
+    gravity_drag_velocity_series(dp, 0.7, params)
+    assert len(exp_qw_calls) == 2
+
+
+def test_homogeneous_factor_recomputed_for_other_arguments(exp_qw_calls):
+    dp = DragParams(m=1.0, k=0.5, g=9.8, v0=1.0)
+    params = DeformationParams(q=0.9, w=0.5)
+    other_params = DeformationParams(q=0.8, w=0.5)
+    coarse = TruncationPolicy(tol=1e-6)
+    gravity_drag_velocity(dp, 0.7, params)
+    evaluated = [
+        gravity_drag_velocity(dp, 0.7, params, coarse),
+        gravity_drag_velocity(dp, 0.7, other_params),
+        gravity_drag_velocity(DragParams(m=2.0, k=0.5, g=9.8, v0=1.0), 0.7, other_params),
+        gravity_drag_velocity(dp, 1.3, other_params),
+    ]
+    assert len(exp_qw_calls) == 2 * 5
+    resist._homogeneous_pair.cache_clear()
+    fresh = [
+        gravity_drag_velocity(dp, 0.7, params, coarse),
+        gravity_drag_velocity(dp, 0.7, other_params),
+        gravity_drag_velocity(DragParams(m=2.0, k=0.5, g=9.8, v0=1.0), 0.7, other_params),
+        gravity_drag_velocity(dp, 1.3, other_params),
+    ]
+    assert evaluated == fresh
