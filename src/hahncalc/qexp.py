@@ -17,6 +17,7 @@ All three reduce to exp as (q, w) -> (1, 0).
 
 from __future__ import annotations
 
+import math
 from itertools import count
 from typing import Iterator
 
@@ -54,7 +55,9 @@ def exp_qw(
 
     Raises PoleEncounteredError when a factor of the underlying product
     vanishes within tolerance (a genuine pole of e_{q,w} in t), and
-    propagates NonConvergentError from the product evaluation.
+    propagates NonConvergentError from the product evaluation.  A product
+    that underflowed to 0 with no vanishing factor gives inf: the
+    reciprocal lies past the double range.
     """
     argument = -a * lattice_step(t, params)
     value, hit_zero = _qpochhammer_inf(argument, params.q, policy)
@@ -63,6 +66,8 @@ def exp_qw(
             f"e_(q,w) pole: product factor vanishes for a={a!r}, t={t!r}, "
             f"q={params.q!r}, w={params.w!r}"
         )
+    if value == 0.0:
+        return math.copysign(math.inf, value)
     return 1.0 / value
 
 

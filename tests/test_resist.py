@@ -343,6 +343,15 @@ def exp_qw_calls(monkeypatch):
     return calls
 
 
+def test_closed_form_past_the_double_range_is_zero_not_a_crash():
+    # At q = 0.999, t = 3600 the arguments are -+0.9: e(kappa t) ~ e^1300
+    # overflows, so the product under it underflows to 0 on the log series.
+    dp = DragParams(m=1.0, k=0.5, g=0.0, v0=1.0)
+    params = DeformationParams(q=0.999, w=0.0)
+    assert exp_qw(kappa(dp, params.q), 3600.0, params) == math.inf
+    assert drag_velocity(dp, 3600.0, params) == 0.0
+
+
 @pytest.mark.parametrize("g", [0.0, 9.8])
 def test_closed_and_series_share_the_homogeneous_factor(g, exp_qw_calls):
     dp = DragParams(m=1.0, k=0.5, g=g, v0=1.0)
