@@ -325,6 +325,15 @@ def test_kernel_zero_factor_raises():
         gravity_kernel_resummed(1.0, 0.5, 4)
 
 
+def test_closed_form_past_the_double_range_is_zero_not_a_crash():
+    # At q = 0.999, t = 3600 the arguments are -+0.9: e(kappa t) ~ e^1300
+    # overflows, so the product under it underflows to 0 on the log series.
+    dp = DragParams(m=1.0, k=0.5, g=0.0, v0=1.0)
+    params = DeformationParams(q=0.999, w=0.0)
+    assert exp_qw(kappa(dp, params.q), 3600.0, params) == math.inf
+    assert drag_velocity(dp, 3600.0, params) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # the homogeneous factor, once per row
 
@@ -343,15 +352,6 @@ def exp_qw_calls(monkeypatch):
     return calls
 
 
-def test_closed_form_past_the_double_range_is_zero_not_a_crash():
-    # At q = 0.999, t = 3600 the arguments are -+0.9: e(kappa t) ~ e^1300
-    # overflows, so the product under it underflows to 0 on the log series.
-    dp = DragParams(m=1.0, k=0.5, g=0.0, v0=1.0)
-    params = DeformationParams(q=0.999, w=0.0)
-    assert exp_qw(kappa(dp, params.q), 3600.0, params) == math.inf
-    assert drag_velocity(dp, 3600.0, params) == 0.0
-
-
 @pytest.mark.parametrize("g", [0.0, 9.8])
 def test_closed_and_series_share_the_homogeneous_factor(g, exp_qw_calls):
     dp = DragParams(m=1.0, k=0.5, g=g, v0=1.0)
@@ -366,20 +366,17 @@ def test_homogeneous_factor_recomputed_for_other_arguments(exp_qw_calls):
     dp = DragParams(m=1.0, k=0.5, g=9.8, v0=1.0)
     params = DeformationParams(q=0.9, w=0.5)
     other_params = DeformationParams(q=0.8, w=0.5)
-    coarse = TruncationPolicy(tol=1e-6)
+    cases = [
+        (dp, 0.7, params, TruncationPolicy(tol=1e-6)),
+        (dp, 0.7, other_params, TruncationPolicy()),
+        (DragParams(m=2.0, k=0.5, g=9.8, v0=1.0), 0.7, other_params, TruncationPolicy()),
+        (dp, 1.3, other_params, TruncationPolicy()),
+    ]
     gravity_drag_velocity(dp, 0.7, params)
-    evaluated = [
-        gravity_drag_velocity(dp, 0.7, params, coarse),
-        gravity_drag_velocity(dp, 0.7, other_params),
-        gravity_drag_velocity(DragParams(m=2.0, k=0.5, g=9.8, v0=1.0), 0.7, other_params),
-        gravity_drag_velocity(dp, 1.3, other_params),
-    ]
-    assert len(exp_qw_calls) == 2 * 5
-    resist._homogeneous_pair.cache_clear()
-    fresh = [
-        gravity_drag_velocity(dp, 0.7, params, coarse),
-        gravity_drag_velocity(dp, 0.7, other_params),
-        gravity_drag_velocity(DragParams(m=2.0, k=0.5, g=9.8, v0=1.0), 0.7, other_params),
-        gravity_drag_velocity(dp, 1.3, other_params),
-    ]
+    evaluated = [gravity_drag_velocity(*case) for case in cases]
+    assert len(exp_qw_calls) == 2 * (1 + len(cases))
+    fresh = []
+    for case in cases:
+        resist._homogeneous_pair.cache_clear()
+        fresh.append(gravity_drag_velocity(*case))
     assert evaluated == fresh
