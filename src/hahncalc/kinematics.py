@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count
-from typing import Iterator
 
 from .core import (
     DEFAULT_POLICY,
@@ -33,7 +31,7 @@ from .core import (
     ScalarFunction,
     TruncationPolicy,
     _check_q,
-    _sum_until_small,
+    _lattice_sum,
     advance_n,
     lattice_step,
 )
@@ -70,9 +68,17 @@ class KinematicState:
 class IterationReport:
     """Result of a lattice iteration.
 
-    value is the computed x(t); steps is the number of lattice increments
-    summed; residual is the distance of the last lattice point from the
-    fixed point w0, which decays like q**steps * |t - w0|.
+    value is the computed x(t); steps is the number of evaluations of the
+    right-hand side, the count held against max_terms; residual is
+    |t_K - w0| = q**K |t - w0| for the first lattice point
+    t_K = q^K t + [K]_{q,w} whose increment was not summed term by term.
+
+    When the plain route is taken from the start, every evaluation is a
+    summed increment, K = steps and residual = q**steps * |t - w0|.  On the
+    extrapolated route the series from t_K on is extrapolated, and steps
+    also counts the probes of the right-hand side that checked it, so
+    K <= steps; so it does for a call that its probes sent back to the plain
+    route.
     """
 
     value: float
@@ -153,25 +159,23 @@ def iterate_first_order(
 
         x(t) = x(w0) - sum_k u_k rhs(t_k),   u_k = q^k ((q-1)t + w).
 
-    Increments are summed in ascending k under policy by the package's one
-    stopping rule (core._sum_until_small), which raises NonConvergentError
-    if policy.max_terms increments do not meet it.
+    The sum is core._lattice_sum with weight -u_0.  On the plain route the
+    increments are summed in ascending k until CONSECUTIVE_SMALL successive
+    ones are below policy.tol.  When that takes many increments (q near 1)
+    and q > 1/2, the extrapolated route sums a q-independent number of
+    blocks of them and extrapolates the tail, assuming rhs analytic at w0;
+    probes of rhs down to the plain route's depth check that assumption and
+    send the call back to the plain route when they disagree.  See
+    IterationReport for what steps and residual mean on each route.
+
+    Every evaluation of rhs counts against policy.max_terms; raises
+    NonConvergentError if they run out before the plain stopping rule is met.
     """
-    q = params.q
-    w = params.w
     u0 = lattice_step(t, params)
-
-    def increments() -> Iterator[float]:
-        qk = 1.0
-        for k in count():
-            qn = q**k  # advance_n(t, k, params), inlined in its exact form
-            yield -u0 * qk * rhs(qn * t + w * (1.0 - qn) / (1.0 - q))
-            qk *= q
-
-    total, steps = _sum_until_small(
-        increments(), policy, 1.0, "first-order iteration at t={!r}", t
+    total, steps, summed = _lattice_sum(
+        rhs, t, params, policy, -u0, "first-order iteration at t={!r}", t
     )
-    residual = abs(advance_n(t, steps, params) - params.w0)
+    residual = abs(advance_n(t, summed, params) - params.w0)
     return IterationReport(value=x_at_w0 + total, steps=steps, residual=residual)
 
 

@@ -1,10 +1,13 @@
-"""40-digit oracle: the product, the exponential and the drag routes against mpmath.
+"""40-digit oracle: products, exponentials, lattice sums and drag routes against mpmath.
 
 The reference (x; q)_inf below is written independently of hahncalc: a
 product until |x q^K| <= 1/2, then the log series -sum y^n/(n(1 - q^n))
-for the remainder y = x q^K.  Errors are measured on the scale
-|value - ref| / max(1, |ref|).  Skipped when mpmath is not installed.
+for the remainder y = x q^K.  The lattice sums of polynomials have closed
+forms.  Errors are measured on the scale |value - ref| / max(1, |ref|).
+Skipped when mpmath is not installed.
 """
+
+import random
 
 import pytest
 
@@ -14,6 +17,8 @@ from hahncalc import (
     exp_qw,
     gravity_drag_velocity,
     gravity_drag_velocity_series,
+    hahn_integral,
+    iterate_first_order,
     q_shifted_factorial_inf,
 )
 
@@ -22,6 +27,7 @@ mp.mp.dps = 40
 
 BOUND = 1e-12
 Q_GRID = [0.3, 0.9, 0.99, 0.999]
+LATTICE_Q_GRID = [0.5, 0.9, 0.99, 0.999]
 DRAG = DragParams(m=1.0, k=0.5, g=9.8, v0=1.0)
 
 
@@ -70,6 +76,22 @@ def ref_drag(dp, t, q, w):
     return dp.v0 * e_minus / e_plus + coeff * e_minus * bracket
 
 
+def ref_lattice_integral(coeffs, t, q, w):
+    """Hahn integral from w0 to t of sum_j c_j s^j, at 40 digits.
+
+    With s_k = w0 + q^k d and d = t - w0, it is
+    (1 - q) d sum_k q^k f(s_k) = (1 - q) d sum_j c_j sum_i C(j, i) w0^(j-i) d^i / (1 - q^(i+1)).
+    """
+    q, w, t = mp.mpf(q), mp.mpf(w), mp.mpf(t)
+    w0 = w / (1 - q)
+    d = t - w0
+    total = mp.mpf(0)
+    for j, c in enumerate(coeffs):
+        for i in range(j + 1):
+            total += c * mp.binomial(j, i) * w0 ** (j - i) * d**i / (1 - q ** (i + 1))
+    return (1 - q) * d * total
+
+
 def rel_err(value, ref):
     return float(abs(mp.mpf(value) - ref) / max(1, abs(ref)))
 
@@ -111,4 +133,39 @@ def test_drag_routes_against_oracle(route, q):
         params = DeformationParams(q=q, w=w)
         for t in (0.1, 0.7, 1.3, 1.9):
             worst = max(worst, rel_err(route(DRAG, t, params), ref_drag(DRAG, t, q, w)))
+    assert worst < BOUND
+
+
+def polynomial_cases(q, w, seed):
+    """Seeded polynomials of degree 0 to 5 and points t at least 0.3 from w0."""
+    rng = random.Random(seed)
+    w0 = w / (1.0 - q)
+    for degree in range(6):
+        coeffs = [rng.uniform(-2.0, 2.0) for _ in range(degree + 1)]
+        t = w0 + rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 2.0)
+        yield coeffs, (lambda s, c=coeffs: sum(cj * s**j for j, cj in enumerate(c))), t
+
+
+@pytest.mark.parametrize("q", LATTICE_Q_GRID)
+def test_hahn_integral_against_oracle(q):
+    worst = 0.0
+    for seed, w in enumerate((0.0, 0.1, 1.0)):
+        params = DeformationParams(q=q, w=w)
+        for coeffs, f, t in polynomial_cases(q, w, seed):
+            ref = ref_lattice_integral(coeffs, t, q, w)
+            worst = max(worst, rel_err(hahn_integral(f, t, params), ref))
+    assert worst < BOUND
+
+
+@pytest.mark.parametrize("q", LATTICE_Q_GRID)
+def test_iterate_first_order_against_oracle(q):
+    # With x(w0) = 0 the iteration returns x(t) - x(w0), the Hahn integral of
+    # its right-hand side, and no rounding of an anchor enters.
+    worst = 0.0
+    for seed, w in enumerate((0.0, 0.1, 1.0), start=10):
+        params = DeformationParams(q=q, w=w)
+        for coeffs, rhs, t in polynomial_cases(q, w, seed):
+            ref = ref_lattice_integral(coeffs, t, q, w)
+            report = iterate_first_order(rhs, t, params, x_at_w0=0.0)
+            worst = max(worst, rel_err(report.value, ref))
     assert worst < BOUND
