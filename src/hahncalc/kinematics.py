@@ -77,8 +77,8 @@ class IterationReport:
     summed increment, K = steps and residual = q**steps * |t - w0|.  On the
     extrapolated route the series from t_K on is extrapolated, and steps
     also counts the probes of the right-hand side that checked it, so
-    K <= steps; so it does for a call that its probes sent back to the plain
-    route.
+    K <= steps.  The same holds when failed probes send a call back to the
+    plain route.
     """
 
     value: float
