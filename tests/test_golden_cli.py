@@ -6,12 +6,19 @@ must print exactly golden/<name>.out.  The arguments live in the JSON file,
 not in this module, so the panel contributes no float literals to the
 constants Hypothesis draws from.
 
-After a deliberate change of output, regenerate the files with
+After a deliberate change of output, see what moved with
+
+    PYTHONPATH=src python tests/test_golden_cli.py --diff
+
+which writes nothing and reports, per golden file, the lines changed, the
+numeric table cells moved, the worst relative move and whether only
+metadata moved; then regenerate the files with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
 
 import contextlib
+import difflib
 import io
 import json
 import pathlib
@@ -56,5 +63,79 @@ def regenerate():
             (GOLDEN / f"{case['name']}.out").write_text(stdout)
 
 
+def entries(text):
+    """A table output as {key: value}: ("metadata", name) and (column, row) keys.
+
+    JSON outputs are parsed as such; CSV metadata comes from the `# key=value`
+    lines and cells from the rows under the header, all kept as strings.
+    """
+    if text.startswith("{"):
+        payload = json.loads(text)
+        out = {("metadata", key): value for key, value in payload["metadata"].items()}
+        for name, column in [*payload["columns"].items(), ("flag", payload["flags"])]:
+            out.update(((name, row), value) for row, value in enumerate(column))
+        return out
+    lines = text.splitlines()
+    out = {("metadata", line[2:].partition("=")[0]): line.partition("=")[2]
+           for line in lines if line.startswith("# ")}
+    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    for row, cells in enumerate(rows[1:]):
+        out.update(((name, row), cell) for name, cell in zip(rows[0], cells))
+    return out
+
+
+def as_number(value):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def diff_report(old, new):
+    """One line on how the output new differs from the golden text old."""
+    changed = sum(
+        max(i2 - i1, j2 - j1)
+        for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(
+            None, old.splitlines(), new.splitlines(), autojunk=False
+        ).get_opcodes()
+        if tag != "equal"
+    )
+    before, after = entries(old), entries(new)
+    moved = [key for key in before.keys() | after.keys() if before.get(key) != after.get(key)]
+    cells = [key for key in moved if key[0] != "metadata"]
+    pairs = [(as_number(before.get(key)), as_number(after.get(key))) for key in cells]
+    numeric = [(x, y) for x, y in pairs if x is not None and y is not None]
+    # 0.0 against -0.0 moves by nothing.
+    worst = max((abs(y - x) / (max(abs(x), abs(y)) or 1.0) for x, y in numeric), default=0)
+    line = f"{changed} lines changed, {len(numeric)} numeric cells moved"
+    if numeric:
+        line += f", worst relative move {worst:.2g}"
+    if len(numeric) < len(cells):
+        line += f", {len(cells) - len(numeric)} other cells changed"
+    if not cells:
+        names = sorted(key[1] for key in moved)
+        line += ", metadata only: " + ",".join(names)
+    return line
+
+
+def diff():
+    """Report what moved against the golden files; write nothing."""
+    differ = 0
+    for case in CASES:
+        stdout, code = run(case["argv"])
+        if code != case["exit"]:
+            print(f"{case['name']}: exit {code}, manifest says {case['exit']}")
+            differ += 1
+        elif code != EXIT_USAGE:
+            golden = (GOLDEN / f"{case['name']}.out").read_text()
+            if stdout != golden:
+                print(f"{case['name']}: {diff_report(golden, stdout)}")
+                differ += 1
+    print(f"{differ} of {len(CASES)} cases differ")
+
+
 if __name__ == "__main__":
-    regenerate()
+    if sys.argv[1:] == ["--diff"]:
+        diff()
+    else:
+        regenerate()
