@@ -62,9 +62,10 @@ EXIT_USAGE = 1
 EXIT_VERIFY_FAIL = 2
 EXIT_EMPTY_COLUMN = 3
 
-# Iteration depths for the drag solvers, chosen so the far lattice point has
-# contracted far enough that its boundary value no longer matters.
-DEFAULT_ITER_N_PURE = 120
+# Iteration depth of the gravity-driven drag solver, chosen so the far
+# lattice point has contracted far enough that its boundary value no longer
+# matters.  The pure-drag solver needs none: by default its product stops
+# exactly where the remaining factors are 1.0 (see drag_velocity_iterative).
 DEFAULT_ITER_N_GRAVITY = 150
 
 _SEVERITY = {FLAG_OK: 0, FLAG_NONCONVERGENT: 1, FLAG_POLE: 2}
@@ -138,8 +139,9 @@ def _add_drag_args(parser: argparse.ArgumentParser) -> None:
         "--iter-n",
         type=int,
         default=None,
-        help="iteration depth for the iterative route "
-        f"(default {DEFAULT_ITER_N_PURE} pure drag, {DEFAULT_ITER_N_GRAVITY} with gravity)",
+        help="fixed iteration depth for the iterative route (default: pure drag "
+        "stops exactly where the remaining factors are 1.0, within --max-terms "
+        f"factors; with gravity {DEFAULT_ITER_N_GRAVITY})",
     )
 
 
@@ -333,13 +335,13 @@ def _drag_setup(
     if args.iter_n is not None and args.iter_n < 0:
         parser.error("--iter-n must be nonnegative")
     n_steps = args.iter_n
-    if n_steps is None:
-        n_steps = DEFAULT_ITER_N_PURE if dp.g == 0.0 else DEFAULT_ITER_N_GRAVITY
+    if n_steps is None and dp.g != 0.0:
+        n_steps = DEFAULT_ITER_N_GRAVITY
 
     def evaluators(params: DeformationParams) -> dict[str, Callable[[float], float]]:
         if dp.g == 0.0:
             closed = lambda t: drag_velocity(dp, t, params, policy)
-            iterative = lambda t: drag_velocity_iterative(dp, t, params, n_steps)
+            iterative = lambda t: drag_velocity_iterative(dp, t, params, n_steps, policy)
         else:
             closed = lambda t: gravity_drag_velocity(dp, t, params, policy)
             iterative = lambda t: gravity_drag_velocity_iterative(dp, t, params, n_steps)
@@ -350,7 +352,8 @@ def _drag_setup(
             "classical": lambda t: classical_drag_velocity(dp, t),
         }
 
-    metadata = {"m": dp.m, "k": dp.k, "g": dp.g, "v0": dp.v0, "iter_n": n_steps}
+    iter_n = "auto" if n_steps is None else n_steps
+    metadata = {"m": dp.m, "k": dp.k, "g": dp.g, "v0": dp.v0, "iter_n": iter_n}
     return metadata, evaluators
 
 

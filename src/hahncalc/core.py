@@ -75,11 +75,17 @@ ScalarFunction = Callable[[float], float]
 # Relative threshold deciding when t is treated as the fixed point w0.
 W0_BRANCH_RTOL = 1e-12
 
-# Step scale for the O(h^2) central difference used on the t = w0 branch.
+# Step scale for the O(h^2) central difference hahn_derivative takes where
+# the lattice step is at most CENTRAL_DIFF_STEP (1 + |w0|).
 CENTRAL_DIFF_STEP = 1e-6
 
 # A product factor at least this close to 0 counts as an exact zero.
 ZERO_FACTOR_TOL = 1e-13
+
+# A factor 1 - x can come within ZERO_FACTOR_TOL of 0 only while |x| is at
+# least this.  The |q^j a| of a q-product never grow with j, so the product
+# loops test for vanishing factors only in the head of indices where it holds.
+ZERO_FACTOR_HEAD = 0.5
 
 # Stopping rules demand this many consecutive sub-tolerance terms, which
 # guards series whose terms vanish on a parity pattern.
@@ -491,7 +497,8 @@ def _qpochhammer_inf(a: float, q: float, policy: TruncationPolicy) -> tuple[floa
       about K_prod = log(tol/|a|)/log q of them; the neglected tail perturbs
       the product by a relative amount of roughly |q^k a|/(1 - q) at the
       stopping index.  A factor within ZERO_FACTOR_TOL of 0 makes the product
-      exactly 0 and is reported via the flag.
+      exactly 0 and is reported via the flag; only the head of factors with
+      |q^k a| >= ZERO_FACTOR_HEAD is tested, because no later one can vanish.
     * log series: exp(-sum_{n>=1} a^n/(n(1 - q^n))), summed by
       _sum_until_small in about K_log = log(tol (1 - |a|))/log|a| terms
       whatever q is.  It is taken only for tol <= |a| < 1 - ZERO_FACTOR_TOL,
@@ -513,13 +520,20 @@ def _qpochhammer_inf(a: float, q: float, policy: TruncationPolicy) -> tuple[floa
             return _qpochhammer_log_series(a, q, log_q, policy), False
     product = 1.0
     scaled = a
-    for _ in range(policy.max_terms):
+    head = 0
+    while head < policy.max_terms and abs(scaled) >= ZERO_FACTOR_HEAD:
         if abs(scaled) < tol:
             return product, False
         factor = 1.0 - scaled
         if abs(factor) < ZERO_FACTOR_TOL:
             return 0.0, True
         product *= factor
+        scaled *= q
+        head += 1
+    for _ in range(policy.max_terms - head):
+        if abs(scaled) < tol:
+            return product, False
+        product *= 1.0 - scaled
         scaled *= q
     raise NonConvergentError(
         f"(a;q)_inf with a={a!r}, q={q!r} did not reach tol={policy.tol!r} "
@@ -598,16 +612,54 @@ def lattice_step(t: float, params: DeformationParams) -> float:
 def hahn_derivative(f: ScalarFunction, t: float, params: DeformationParams) -> float:
     """Hahn derivative (f(qt + w) - f(t)) / ((q - 1)t + w).
 
-    At the fixed point the quotient is 0/0 and the operator's value is the
-    ordinary derivative f'(w0); whenever |t - w0| <= 1e-12 (1 + |w0|) an
-    O(h^2) central difference with h = 1e-6 (1 + |w0|) is returned instead
-    of the quotient.
+    Near the fixed point the quotient tends to 0/0 (its value at w0 is the
+    ordinary derivative f'(w0)), and the rounding of f(qt + w) - f(t) grows
+    like eps |f| / |step|.  So whenever the lattice step is at most
+    h = CENTRAL_DIFF_STEP (1 + |w0|), the O(h^2) central difference with
+    half-width h about the secant midpoint (t + qt + w)/2 is returned
+    instead of the quotient.  For smooth f it differs from the secant slope
+    by f3 (h^2 - step^2/4)/6, with f3 the third derivative.
     """
-    w0 = params.w0
-    if abs(t - w0) <= W0_BRANCH_RTOL * (1.0 + abs(w0)):
-        h = CENTRAL_DIFF_STEP * (1.0 + abs(w0))
-        return (f(w0 + h) - f(w0 - h)) / (2.0 * h)
-    return (f(advance(t, params)) - f(t)) / lattice_step(t, params)
+    step = lattice_step(t, params)
+    h = CENTRAL_DIFF_STEP * (1.0 + abs(params.w0))
+    if abs(step) <= h:
+        mid = 0.5 * (t + advance(t, params))
+        return (f(mid + h) - f(mid - h)) / (2.0 * h)
+    return (f(advance(t, params)) - f(t)) / step
+
+
+# Veltkamp's splitting constant for doubles, 2^27 + 1.
+_VELTKAMP = 134217729.0
+
+
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """(hi, lo) with hi = fl(a b) and hi + lo = a b exactly (Dekker).
+
+    Each factor is split by Veltkamp into halves of 26 bits, whose products
+    are exact.  Exact barring overflow of the split (|a|, |b| < 2^996) and
+    underflow of the products.
+    """
+    hi = a * b
+    a_big = a * _VELTKAMP
+    a_hi = a_big - (a_big - a)
+    a_lo = a - a_hi
+    b_big = b * _VELTKAMP
+    b_hi = b_big - (b_big - b)
+    b_lo = b - b_hi
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return hi, lo
+
+
+def _hahn_prefactor(t: float, q: float, w: float) -> float:
+    """(1 - q)t - w, correctly rounded: fsum of t - q t - w with q t exact.
+
+    The plain (1 - q) * t - w cancels when t is near a large w0 = w/(1 - q),
+    losing up to three digits at q = 0.999.
+    """
+    if not abs(t) < 2.0**996:  # the split would overflow, or t is not finite
+        return (1.0 - q) * t - w
+    hi, lo = _two_product(q, t)
+    return math.fsum((t, -hi, -lo, -w))
 
 
 def hahn_integral(
@@ -620,7 +672,8 @@ def hahn_integral(
 
     Evaluates sum_{k>=0} ((1 - q)t - w) q^k f(q^k t + [k]_{q,w}), the
     inverse of the Hahn derivative anchored at the fixed point, by
-    _lattice_sum.  On the plain route the series stops once
+    _lattice_sum.  The prefactor (1 - q)t - w is correctly rounded (see
+    _hahn_prefactor).  On the plain route the series stops once
     |((1-q)t - w) q^k f| < policy.tol for CONSECUTIVE_SMALL successive k.
     When that takes many terms (q near 1) and q > 1/2, the extrapolated route
     sums a q-independent number of blocks and extrapolates the tail; it
@@ -631,7 +684,7 @@ def hahn_integral(
     Every evaluation of f counts against max_terms; raises
     NonConvergentError if they run out before the plain stopping rule is met.
     """
-    prefactor = (1.0 - params.q) * t - params.w
+    prefactor = _hahn_prefactor(t, params.q, params.w)
     total, _, _ = _lattice_sum(f, t, params, policy, prefactor, "Hahn integral at t={!r}", t)
     return total
 

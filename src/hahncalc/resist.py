@@ -30,6 +30,7 @@ from typing import Iterator
 
 from .core import (
     DEFAULT_POLICY,
+    ZERO_FACTOR_HEAD,
     ZERO_FACTOR_TOL,
     DeformationParams,
     TruncationPolicy,
@@ -38,7 +39,7 @@ from .core import (
     _sum_until_small,
     lattice_step,
 )
-from .errors import ZeroFactorError
+from .errors import NonConvergentError, ZeroFactorError
 from .qexp import exp_qinv_series, exp_qw
 
 __all__ = [
@@ -53,6 +54,13 @@ __all__ = [
     "gravity_kernel_iteration_sum",
     "gravity_kernel_resummed",
 ]
+
+
+# Where |x| <= 2^-54 both 1 + x and 1 - x round to exactly 1.0: 2^-54 is half
+# the spacing of doubles just below 1.0, and that tie rounds to even, to 1.0.
+# So a drag factor (1 + x)/(1 - x) there, and at every later and smaller
+# |q^j x|, leaves the running product unchanged.
+UNIT_FACTOR_BOUND = 2.0**-54
 
 
 @dataclass(frozen=True)
@@ -126,28 +134,42 @@ def drag_velocity_iterative(
     dp: DragParams,
     t: float,
     params: DeformationParams,
-    n_steps: int,
+    n_steps: int | None = None,
+    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> float:
-    """Pure-drag velocity by iterating the equation of motion n_steps times.
+    """Pure-drag velocity by iterating the equation of motion.
 
     The lattice equation of motion propagates v between neighbouring points
     with the ratio (1 + kappa u_j)/(1 - kappa u_j), u_j = q^j ((q-1)t + w).
-    Chaining n_steps of these and approximating the far point's velocity by
-    v0 (exact in the limit, since the lattice contracts to the fixed point)
-    gives the finite-product form
+    Chaining these and approximating the far point's velocity by v0 (exact
+    in the limit, since the lattice contracts to the fixed point) gives the
+    product form
 
-        v(t) ~ v0 (-z; q)_{n_steps} / (z; q)_{n_steps},   z = kappa ((q-1)t + w).
+        v(t) ~ v0 (-z; q)_N / (z; q)_N,   z = kappa ((q-1)t + w).
+
+    By default the product stops exactly: at the first j with
+    |q^j z| <= UNIT_FACTOR_BOUND (2^-54) every remaining factor is exactly
+    1.0/1.0, so the result is bit-identical to that of every deeper fixed
+    depth.  Each factor counts against policy.max_terms, and
+    NonConvergentError is raised when they run out first (q near 1 with a
+    small budget).  An explicit n_steps is the fixed depth N instead, with
+    no budget; there too the factors past the exact stop are skipped, which
+    changes no bit of the result.
 
     This route never consults the deformed exponentials, so it is an
     independent oracle for drag_velocity.  Raises ZeroFactorError when a
-    denominator factor vanishes within tolerance.
+    denominator factor vanishes within tolerance; only the head of factors
+    with |q^j z| >= ZERO_FACTOR_HEAD is tested, because no later one can.
     """
-    _check_count(n_steps, "n_steps")
+    if n_steps is not None:
+        _check_count(n_steps, "n_steps")
+    limit = policy.max_terms if n_steps is None else n_steps
     q = params.q
     z = kappa(dp, q) * lattice_step(t, params)
     ratio = 1.0
     zj = z
-    for j in range(n_steps):
+    j = 0
+    while j < limit and abs(zj) >= ZERO_FACTOR_HEAD:
         denom = 1.0 - zj
         if abs(denom) < ZERO_FACTOR_TOL:
             raise ZeroFactorError(
@@ -155,6 +177,17 @@ def drag_velocity_iterative(
             )
         ratio *= (1.0 + zj) / denom
         zj *= q
+        j += 1
+    for _ in range(limit - j):
+        if abs(zj) <= UNIT_FACTOR_BOUND:
+            break
+        ratio *= (1.0 + zj) / (1.0 - zj)
+        zj *= q
+    if n_steps is None and not abs(zj) <= UNIT_FACTOR_BOUND:
+        raise NonConvergentError(
+            f"pure-drag iteration with z={z!r}, q={q!r} did not reach "
+            f"|q^j z| <= 2^-54 within {policy.max_terms} factors"
+        )
     return dp.v0 * ratio
 
 
@@ -240,15 +273,24 @@ def gravity_drag_velocity_iterative(
     is unwound back to t_0 = t, with u_j = q^j ((q-1)t + w).  Nothing but
     the motion equation is assumed, so this validates both the closed form
     and the series resummation.  Raises ZeroFactorError when a factor
-    1 - kappa u_j vanishes within tolerance.
+    1 - kappa u_j vanishes within tolerance; only the head of near points,
+    j < head with |kappa u_j| >= ZERO_FACTOR_HEAD, is tested, because no
+    farther factor can vanish.
     """
     _check_count(n_steps, "n_steps")
     q = params.q
     g = dp.g
     rate = kappa(dp, q)
     u0 = lattice_step(t, params)
+    head = 0
+    while head < n_steps and abs(rate * (u0 * q**head)) >= ZERO_FACTOR_HEAD:
+        head += 1
     v = dp.v0
-    for j in range(n_steps - 1, -1, -1):
+    for j in range(n_steps - 1, head - 1, -1):
+        uj = u0 * q**j
+        drag = rate * uj
+        v = (-g * uj + (1.0 + drag) * v) / (1.0 - drag)
+    for j in range(head - 1, -1, -1):
         uj = u0 * q**j
         drag = rate * uj
         denom = 1.0 - drag

@@ -8,7 +8,10 @@ held as None and rendered as empty CSV fields / JSON nulls, with the row
 flag saying why.
 
 Rendering is deterministic: floats are written with repr (shortest
-round-trip form), and column and metadata order is insertion order.
+round-trip form), and column and metadata order is insertion order.  The
+JSON text is exactly json.dumps(payload, indent=2) plus a newline, but the
+columns and flags, nearly all of its bytes, go through json's C encoder,
+which json.dumps skips whenever indent is set.
 """
 
 from __future__ import annotations
@@ -22,6 +25,19 @@ FLAG_OK = "ok"
 FLAG_POLE = "pole"
 FLAG_NONCONVERGENT = "nonconvergent"
 _KNOWN_FLAGS = (FLAG_OK, FLAG_POLE, FLAG_NONCONVERGENT)
+
+
+def _json_list(values: list, pad: str) -> str:
+    """values as json.dumps(..., indent=2) nests them at indent pad.
+
+    Encoding with indent=None takes json's C encoder; the item separator
+    carries the newline and indent of the next item.  Items must be scalars.
+    """
+    if not values:
+        return "[]"
+    inner = pad + "  "
+    items = json.dumps(values, separators=(",\n" + inner, ": "), allow_nan=False)
+    return "[\n" + inner + items[1:-1] + "\n" + pad + "]"
 
 
 def _format_value(value: object) -> str:
@@ -92,11 +108,24 @@ class TrajectoryTable:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        """Render as one JSON object: metadata, columns, flags."""
+        """Render as one JSON object: metadata, columns, flags.
+
+        The text is json.dumps(payload, indent=2, allow_nan=False) and a
+        newline, for the payload {"metadata", "columns", "flags"}; a NaN or
+        infinite value raises ValueError.
+        """
         self.validate()
-        payload = {
-            "metadata": self.metadata,
-            "columns": self.columns,
-            "flags": self.flags,
-        }
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        metadata = json.dumps(self.metadata, indent=2, allow_nan=False)
+        columns = ",\n".join(
+            f"    {json.dumps(name)}: {_json_list(values, '    ')}"
+            for name, values in self.columns.items()
+        )
+        return (
+            '{\n  "metadata": '
+            + metadata.replace("\n", "\n  ")
+            + ',\n  "columns": {\n'
+            + columns
+            + '\n  },\n  "flags": '
+            + _json_list(self.flags, "  ")
+            + "\n}\n"
+        )

@@ -230,6 +230,28 @@ def test_drag_classical_limit_fits_small_budget():
     assert all(row[-1] == "ok" for row in rows)
 
 
+def test_pure_drag_iteration_budget_flags_nonconvergent():
+    # Near q = 1 the exact-stop product needs ~3500 factors, past a budget of
+    # 500 that the closed form fits in; an explicit --iter-n is not budgeted.
+    args = [
+        "drag", "--q", "0.99", "--w", "0.5", "--g", "0", "--v0", "1",
+        "--t-start", "0", "--t-end", "2", "--samples", "5",
+        "--routes", "closed,iterative", "--max-terms", "500",
+    ]
+    proc = run_cli(*args)
+    assert proc.returncode == 3
+    meta, header, rows = parse_csv(proc.stdout)
+    assert meta["iter_n"] == "auto"
+    assert header == ["t", "closed", "iterative", "flag"]
+    assert len(rows) == 5
+    assert all(row[1] and not row[2] and row[3] == "nonconvergent" for row in rows)
+    proc = run_cli(*args, "--iter-n", "4000")
+    assert proc.returncode == 0
+    meta, _, rows = parse_csv(proc.stdout)
+    assert meta["iter_n"] == "4000"
+    assert all(row[2] and row[3] == "ok" for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # verify command
 

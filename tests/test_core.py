@@ -1,6 +1,7 @@
 """Tests for deformation parameters, q-numbers, products, and the Hahn operators."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -261,6 +262,36 @@ def test_both_routes_agree(a, q):
     assert log_series == pytest.approx(product, rel=1e-12)
 
 
+def first_written_product(a, q, policy):
+    """The product route of (a; q)_inf as first written: every factor tested."""
+    product, scaled = 1.0, a
+    for _ in range(policy.max_terms):
+        if abs(scaled) < policy.tol:
+            return product, False
+        factor = 1.0 - scaled
+        if abs(factor) < core.ZERO_FACTOR_TOL:
+            return 0.0, True
+        product *= factor
+        scaled *= q
+    return "nonconvergent"
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("tol", [1e-14, 0.7])
+def test_head_only_zero_factor_test_changes_nothing(q, tol):
+    # |a| >= q always takes the product; q^-k are its zero factors.  A tol
+    # above 1/2 puts stopping indices inside the head as well.
+    sizes = [q + i * (4.0 - q) / 30 for i in range(31)] + [q**-k for k in range(4)]
+    for a in sizes + [-size for size in sizes]:
+        for max_terms in (1, 2, 3, 5, 100_000):
+            policy = TruncationPolicy(tol=tol, max_terms=max_terms)
+            try:
+                got = core._qpochhammer_inf(a, q, policy)
+            except NonConvergentError:
+                got = "nonconvergent"
+            assert got == first_written_product(a, q, policy)
+
+
 # ---------------------------------------------------------------------------
 # lattice advance
 
@@ -315,6 +346,25 @@ def test_derivative_at_fixed_point_uses_smooth_limit():
     # At t = w0 the difference quotient degenerates; the value should be f'(w0).
     value = hahn_derivative(lambda s: s * s, P.w0, P)
     assert value == pytest.approx(2 * P.w0, abs=1e-8)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("w", [0.0, 1.0])
+def test_derivative_near_fixed_point_matches_secant_slope(q, w):
+    # For f(s) = s^3 - 2s + 1 the exact secant slope over [t, s], s = qt + w,
+    # is t^2 + ts + s^2 - 2.  The quotient alone lost up to 3e-4 of it at
+    # |t - w0| = 1e-11.
+    params = DeformationParams(q=q, w=w)
+    worst = Fraction(0)
+    for k in range(4, 15):
+        for sign in (-1.0, 1.0):
+            t = params.w0 + sign * 10.0**-k
+            exact_t = Fraction(t)
+            exact_s = Fraction(q) * exact_t + Fraction(w)
+            slope = exact_t**2 + exact_t * exact_s + exact_s**2 - 2
+            value = hahn_derivative(lambda s: s**3 - 2.0 * s + 1.0, t, params)
+            worst = max(worst, abs(Fraction(value) - slope) / abs(slope))
+    assert worst < 1e-9
 
 
 def test_derivative_classical_limit_monotone():

@@ -14,6 +14,7 @@ import pytest
 from hahncalc import (
     DeformationParams,
     DragParams,
+    drag_velocity_iterative,
     exp_qw,
     gravity_drag_velocity,
     gravity_drag_velocity_series,
@@ -29,6 +30,7 @@ BOUND = 1e-12
 Q_GRID = [0.3, 0.9, 0.99, 0.999]
 LATTICE_Q_GRID = [0.5, 0.9, 0.99, 0.999]
 DRAG = DragParams(m=1.0, k=0.5, g=9.8, v0=1.0)
+PURE_DRAG = DragParams(m=1.0, k=0.5, g=0.0, v0=1.0)
 
 
 def ref_qpoch(x, q):
@@ -136,6 +138,28 @@ def test_drag_routes_against_oracle(route, q):
     assert worst < BOUND
 
 
+# At q = 0.999 the pure-drag product runs to about 35 000 factors, and at
+# w = 0.5 its value is about e^250.  The rounding of its factors, biased where
+# q^j z moves by less than an ulp of 1 per step, then reaches 1.3e-12 (the
+# drift of the running power q^j z is 2.6e-13 of it, the rounding of z 1.1e-14).
+# The exact stop returns what the full product gives, and cannot do better.
+PURE_DRAG_BOUND = {0.3: BOUND, 0.9: BOUND, 0.99: BOUND, 0.999: 2e-12}
+
+
+@pytest.mark.parametrize("q", Q_GRID)
+def test_pure_drag_iteration_at_default_depth_against_oracle(q):
+    # The default product stops where its factors are exactly 1.  A fixed
+    # depth of 120 leaves a boundary error of order q^120 and fails this at
+    # q >= 0.9 (8e-6 at q = 0.9, about 1 beyond).
+    worst = 0.0
+    for w in (0.0, 0.5):
+        params = DeformationParams(q=q, w=w)
+        for t in (0.1, 0.7, 1.3, 1.9):
+            value = drag_velocity_iterative(PURE_DRAG, t, params)
+            worst = max(worst, rel_err(value, ref_drag(PURE_DRAG, t, q, w)))
+    assert worst < PURE_DRAG_BOUND[q]
+
+
 def polynomial_cases(q, w, seed):
     """Seeded polynomials of degree 0 to 5 and points t at least 0.3 from w0."""
     rng = random.Random(seed)
@@ -146,15 +170,26 @@ def polynomial_cases(q, w, seed):
         yield coeffs, (lambda s, c=coeffs: sum(cj * s**j for j, cj in enumerate(c))), t
 
 
-@pytest.mark.parametrize("q", LATTICE_Q_GRID)
-def test_hahn_integral_against_oracle(q):
+def worst_hahn_integral_error(q):
     worst = 0.0
     for seed, w in enumerate((0.0, 0.1, 1.0)):
         params = DeformationParams(q=q, w=w)
         for coeffs, f, t in polynomial_cases(q, w, seed):
             ref = ref_lattice_integral(coeffs, t, q, w)
             worst = max(worst, rel_err(hahn_integral(f, t, params), ref))
-    assert worst < BOUND
+    return worst
+
+
+@pytest.mark.parametrize("q", LATTICE_Q_GRID)
+def test_hahn_integral_against_oracle(q):
+    assert worst_hahn_integral_error(q) < BOUND
+
+
+@pytest.mark.parametrize("q", [0.99, 0.999])
+def test_hahn_integral_prefactor_is_correctly_rounded(q):
+    # (1 - q)t - w cancels near a large w0; rounded plainly it cost up to
+    # 1.3e-14 at q = 0.99 and 1.0e-13 at q = 0.999.
+    assert worst_hahn_integral_error(q) < 1e-15
 
 
 @pytest.mark.parametrize("q", LATTICE_Q_GRID)

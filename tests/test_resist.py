@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from hahncalc import resist
 from hahncalc import (
+    ZERO_FACTOR_TOL,
     DeformationParams,
     DragParams,
+    NonConvergentError,
     TruncationPolicy,
     ZeroFactorError,
     classical_drag_velocity,
@@ -24,6 +26,7 @@ from hahncalc import (
     gravity_kernel_resummed,
     hahn_derivative,
     kappa,
+    lattice_step,
     q_number,
 )
 
@@ -380,3 +383,123 @@ def test_homogeneous_factor_recomputed_for_other_arguments(exp_qw_calls):
         resist._homogeneous_pair.cache_clear()
         fresh.append(gravity_drag_velocity(*case))
     assert evaluated == fresh
+
+
+# ---------------------------------------------------------------------------
+# exact stop of the pure-drag product, head-only zero-factor tests
+
+UNIT = DragParams(m=1.0, k=0.5, g=0.0, v0=1.0)
+
+
+def grid(start, stop, count):
+    """Inclusive uniform grid with the endpoints hit exactly, as the CLI builds it."""
+    step = (stop - start) / (count - 1)
+    return [start + i * step for i in range(count - 1)] + [stop]
+
+
+def exact_stop_depth(dp, t, params):
+    """Factors the default pure-drag product multiplies: up to |q^j z| <= 2^-54."""
+    zj = kappa(dp, params.q) * lattice_step(t, params)
+    depth = 0
+    while abs(zj) > resist.UNIT_FACTOR_BOUND:
+        zj *= params.q
+        depth += 1
+    return depth
+
+
+def test_default_depth_is_bit_identical_to_fixed_120_on_the_bulk_grid():
+    # The drag-bulk benchmark grid (q <= 0.5) at v0 = 1, where the product shows.
+    for q in grid(0.05, 0.5, 40):
+        for w in grid(0.0, 1.0, 10):
+            params = DeformationParams(q=q, w=w)
+            ts = grid(0.0, 2.0, 50)
+            default = [drag_velocity_iterative(UNIT, t, params) for t in ts]
+            assert default == [drag_velocity_iterative(UNIT, t, params, 120) for t in ts]
+
+
+@pytest.mark.parametrize("q", [0.9, 0.99])
+def test_default_depth_is_bit_identical_to_deeper_fixed_depths(q):
+    for w in (0.0, 0.5):
+        params = DeformationParams(q=q, w=w)
+        for t in (0.1, 0.7, 1.3, 1.9):
+            depth = exact_stop_depth(UNIT, t, params)
+            value = drag_velocity_iterative(UNIT, t, params)
+            assert value == drag_velocity_iterative(UNIT, t, params, depth)
+            assert value == drag_velocity_iterative(UNIT, t, params, depth + 50)
+
+
+@pytest.mark.parametrize("t", [1.3, -40.0])  # |z| < 1/2, and a head with |z| > 1
+def test_default_depth_counts_every_factor_against_max_terms(t):
+    params = DeformationParams(q=0.9, w=0.5)
+    depth = exact_stop_depth(UNIT, t, params)
+    just_enough = TruncationPolicy(max_terms=depth)
+    value = drag_velocity_iterative(UNIT, t, params, policy=just_enough)
+    assert value == drag_velocity_iterative(UNIT, t, params, depth)
+    for budget in (1, depth - 1):
+        with pytest.raises(NonConvergentError, match="pure-drag iteration"):
+            drag_velocity_iterative(UNIT, t, params, policy=TruncationPolicy(max_terms=budget))
+    # An explicit depth is not budgeted.
+    assert drag_velocity_iterative(UNIT, t, params, depth, TruncationPolicy(max_terms=1)) == value
+
+
+def first_written_pure(dp, t, params, n_steps):
+    """The pure-drag loop as first written: every factor tested."""
+    q = params.q
+    z = kappa(dp, q) * lattice_step(t, params)
+    ratio, zj = 1.0, z
+    for j in range(n_steps):
+        denom = 1.0 - zj
+        if abs(denom) < ZERO_FACTOR_TOL:
+            raise ZeroFactorError(f"q^{j} z")
+        ratio *= (1.0 + zj) / denom
+        zj *= q
+    return dp.v0 * ratio
+
+
+def first_written_gravity(dp, t, params, n_steps):
+    """The gravity-plus-drag recursion as first written: every factor tested."""
+    q, rate = params.q, kappa(dp, params.q)
+    u0 = lattice_step(t, params)
+    v = dp.v0
+    for j in range(n_steps - 1, -1, -1):
+        uj = u0 * q**j
+        drag = rate * uj
+        denom = 1.0 - drag
+        if abs(denom) < ZERO_FACTOR_TOL:
+            raise ZeroFactorError(f"u_{j} ")
+        v = (-dp.g * uj + (1.0 + drag) * v) / denom
+    return v
+
+
+def outcome(evaluate, *args):
+    """The value, or the message of the ZeroFactorError raised."""
+    try:
+        return evaluate(*args)
+    except ZeroFactorError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("w", [0.0, 1.0])
+def test_head_only_zero_factor_tests_change_nothing(q, w):
+    # Times spread over both signs of z and |z| up to about 5, plus the poles
+    # t_k where kappa u_k = 1 exactly for k < 4 (a vanishing factor at index k).
+    params = DeformationParams(q=q, w=w)
+    rate = kappa(PURE, q)
+    poles = [(w - 1.0 / (rate * q**k)) / (1.0 - q) for k in range(4)]
+    times = grid(-60.0, 60.0, 41) + poles
+    for dp, ours, first in (
+        (PURE, drag_velocity_iterative, first_written_pure),
+        (GRAV, gravity_drag_velocity_iterative, first_written_gravity),
+    ):
+        raised = 0
+        for t in times:
+            for n_steps in (0, 1, 3, 150):
+                expected = outcome(first, dp, t, params, n_steps)
+                got = outcome(ours, dp, t, params, n_steps)
+                if isinstance(expected, str):  # the same index vanishes
+                    raised += 1
+                    assert isinstance(got, str) and expected in got
+                else:
+                    assert got == expected or (math.isnan(got) and math.isnan(expected))
+        assert raised >= 4

@@ -1,6 +1,7 @@
 """Tests for the trajectory table container and its CSV/JSON rendering."""
 
 import json
+import math
 
 import pytest
 
@@ -73,3 +74,50 @@ def test_time_must_increase_within_block():
     )
     with pytest.raises(ValueError):
         table.to_csv()
+
+
+def reference_json(table):
+    """The layout to_json keeps: json.dumps of the payload with indent=2."""
+    payload = {"metadata": table.metadata, "columns": table.columns, "flags": table.flags}
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        TrajectoryTable(columns={"t": [], "closed": []}, metadata={}, flags=[]),
+        TrajectoryTable(columns={"t": [0.5]}, metadata={}, flags=[FLAG_OK]),
+        make_table(),
+        TrajectoryTable(
+            columns={"t": [-1.5, 0.0, 2.0], "a": [None, None, 1e-300], "b": [3, True, False]},
+            metadata={
+                "routes": "closed, series",
+                "quoted": 'say "hi"\\',
+                "name": "Hahn–Jackson \u00e9\u4e2d",
+                "n": 7,
+                "flag": True,
+                "none": None,
+                "tiny": 5e-324,
+            },
+            flags=[FLAG_OK, FLAG_POLE, FLAG_OK],
+        ),
+    ],
+    ids=["zero-rows", "empty-metadata", "none-cell", "strings-ints-bools"],
+)
+def test_json_layout_is_json_dumps_indent_2(table):
+    assert table.to_json() == reference_json(table)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        TrajectoryTable(columns={"t": [0.0], "closed": [math.nan]}, flags=[FLAG_OK]),
+        TrajectoryTable(columns={"t": [0.0]}, metadata={"tol": math.inf}, flags=[FLAG_OK]),
+    ],
+    ids=["nan-cell", "inf-metadata"],
+)
+def test_json_rejects_non_finite_values(table):
+    with pytest.raises(ValueError):
+        reference_json(table)
+    with pytest.raises(ValueError):
+        table.to_json()
