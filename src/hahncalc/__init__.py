@@ -38,7 +38,6 @@ from .errors import (
     ZeroFactorError,
     ZeroFactorWarning,
 )
-from .identities import IdentityResult, run_suite
 from .kinematics import (
     IterationReport,
     KinematicState,
@@ -66,6 +65,17 @@ from .resist import (
 from .table import TrajectoryTable
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str) -> object:
+    # The identity suite is imported on first use: most callers, the CLI's
+    # table commands among them, never need it.
+    if name in ("IdentityResult", "run_suite"):
+        from . import identities
+
+        return getattr(identities, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -32,7 +32,6 @@ from typing import Callable, NoReturn, Sequence
 
 from .core import DEFAULT_POLICY, DeformationParams, TruncationPolicy
 from .errors import NonConvergentError, PoleEncounteredError, ZeroFactorError
-from .identities import DEFAULT_W_GRID, run_suite
 from .kinematics import (
     KinematicState,
     accel_quotient_velocity,
@@ -61,12 +60,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY_FAIL = 2
 EXIT_EMPTY_COLUMN = 3
-
-# Iteration depth of the gravity-driven drag solver, chosen so the far
-# lattice point has contracted far enough that its boundary value no longer
-# matters.  The pure-drag solver needs none: by default its product stops
-# exactly where the remaining factors are 1.0 (see drag_velocity_iterative).
-DEFAULT_ITER_N_GRAVITY = 150
 
 _SEVERITY = {FLAG_OK: 0, FLAG_NONCONVERGENT: 1, FLAG_POLE: 2}
 
@@ -140,8 +133,9 @@ def _add_drag_args(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="fixed iteration depth for the iterative route (default: pure drag "
-        "stops exactly where the remaining factors are 1.0, within --max-terms "
-        f"factors; with gravity {DEFAULT_ITER_N_GRAVITY})",
+        "stops exactly where the remaining factors are 1.0; with gravity it "
+        "starts from the power series about the fixed point; either way within "
+        "--max-terms steps and terms)",
     )
 
 
@@ -335,8 +329,6 @@ def _drag_setup(
     if args.iter_n is not None and args.iter_n < 0:
         parser.error("--iter-n must be nonnegative")
     n_steps = args.iter_n
-    if n_steps is None and dp.g != 0.0:
-        n_steps = DEFAULT_ITER_N_GRAVITY
 
     def evaluators(params: DeformationParams) -> dict[str, Callable[[float], float]]:
         if dp.g == 0.0:
@@ -344,7 +336,9 @@ def _drag_setup(
             iterative = lambda t: drag_velocity_iterative(dp, t, params, n_steps, policy)
         else:
             closed = lambda t: gravity_drag_velocity(dp, t, params, policy)
-            iterative = lambda t: gravity_drag_velocity_iterative(dp, t, params, n_steps)
+            iterative = lambda t: gravity_drag_velocity_iterative(
+                dp, t, params, n_steps, policy
+            )
         return {
             "closed": closed,
             "series": lambda t: gravity_drag_velocity_series(dp, t, params, policy),
@@ -474,6 +468,9 @@ def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
             parser.error(f"--q-grid entries must lie in (0,1), got {q!r}")
     if args.tol is not None and args.tol <= 0.0:
         parser.error("--tol must be positive")
+    # Only verify needs the identity suite; importing it costs every other command.
+    from .identities import DEFAULT_W_GRID, run_suite
+
     results = run_suite(seed=args.seed, q_grid=q_grid, tol=args.tol)
     print("# identity-suite")
     print(f"# q_grid={','.join(repr(q) for q in q_grid)}")

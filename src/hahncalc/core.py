@@ -22,7 +22,8 @@ its arguments: factors 1 - q^k a multiplied up to the first one with
 |q^k a| < tol, whose length grows like 1/(1 - q), or, for tol <= |a| < 1
 where it is cheaper, exp of the log series
 log (a; q)_inf = -sum_n a^n/(n(1 - q^n)), summed by that one rule, whose
-length does not depend on q.
+length does not depend on q.  _qpochhammer_inf_pm evaluates (a; q)_inf and
+(-a; q)_inf together in one pass, on the same route.
 
 The lattice sums weight * sum_k q^k f(q^k t + [k]_{q,w}) behind the Hahn
 integral and the kinematic fixed-point iteration are written once, in
@@ -182,7 +183,6 @@ DEFAULT_POLICY = TruncationPolicy()
 def _sum_until_small(
     terms: Iterator[float],
     policy: TruncationPolicy,
-    scale: float,
     what: str,
     *args: object,
     spent: int = 0,
@@ -190,26 +190,49 @@ def _sum_until_small(
     """Sum an infinite series under policy; return (sum, terms summed).
 
     The one stopping rule for every series in the package: the sum stops
-    after CONSECUTIVE_SMALL successive terms with |term| * scale <
-    policy.tol, and every term counts against policy.max_terms, as do the
-    spent evaluations a caller made outside the series.  Terms are
-    accumulated with exactly rounded summation.  Raises NonConvergentError,
-    naming the series as what.format(*args), when the budget runs out first.
+    after CONSECUTIVE_SMALL successive terms with |term| < policy.tol, and
+    every term counts against policy.max_terms, as do the spent evaluations
+    a caller made outside the series.  Terms are accumulated with exactly
+    rounded summation.  Raises NonConvergentError, naming the series as
+    what.format(*args), when the budget runs out first.
     """
+    summed = _terms_until_small(terms, policy, what, *args, spent=spent)
+    return math.fsum(summed), len(summed)
+
+
+def _terms_until_small(
+    terms: Iterator[float],
+    policy: TruncationPolicy,
+    what: str,
+    *args: object,
+    spent: int = 0,
+) -> list[float]:
+    """The terms _sum_until_small sums, as a list, under the same rule."""
+    tol = policy.tol
     summed: list[float] = []
     small = 0
     for term in islice(terms, policy.max_terms - spent):
         summed.append(term)
-        if abs(term) * scale < policy.tol:
+        if abs(term) < tol:
             small += 1
             if small == CONSECUTIVE_SMALL:
-                return math.fsum(summed), len(summed)
+                return summed
         else:
             small = 0
     raise NonConvergentError(
         f"{what.format(*args)} did not meet its stopping rule within "
         f"{policy.max_terms} terms"
     )
+
+
+def _alternating_fsum(terms: list[float]) -> float:
+    """Exactly rounded t_0 - t_1 + t_2 - ..., the sum of the terms at -x.
+
+    A series in powers of x whose terms were summed at x has, at -x, the
+    same terms with the odd-indexed ones negated, bit for bit; fsum is
+    exactly rounded in any order, so this equals summing those terms.
+    """
+    return math.fsum(chain(terms[::2], map(operator.neg, terms[1::2])))
 
 
 def _lattice_terms(
@@ -287,7 +310,7 @@ def _lattice_plain(
     evaluated count against max_terms.
     """
     terms = chain(summed, _lattice_terms(f, len(summed), t, w0, q, weight))
-    total, used = _sum_until_small(terms, policy, 1.0, what, *args, spent=probes)
+    total, used = _sum_until_small(terms, policy, what, *args, spent=probes)
     return total, max(used, len(summed)) + probes, used
 
 
@@ -491,7 +514,8 @@ def q_shifted_factorial(a: float, q: float, N: int) -> float:
 def _qpochhammer_inf(a: float, q: float, policy: TruncationPolicy) -> tuple[float, bool]:
     """Evaluate (a; q)_infinity; return (value, zero_factor_hit).
 
-    Two routes, chosen from the arguments before anything is summed:
+    Two routes, chosen from the arguments before anything is summed (see
+    _log_series_log_q):
 
     * product: factors 1 - q^k a are multiplied while |q^k a| >= policy.tol,
       about K_prod = log(tol/|a|)/log q of them; the neglected tail perturbs
@@ -501,23 +525,14 @@ def _qpochhammer_inf(a: float, q: float, policy: TruncationPolicy) -> tuple[floa
       |q^k a| >= ZERO_FACTOR_HEAD is tested, because no later one can vanish.
     * log series: exp(-sum_{n>=1} a^n/(n(1 - q^n))), summed by
       _sum_until_small in about K_log = log(tol (1 - |a|))/log|a| terms
-      whatever q is.  It is taken only for tol <= |a| < 1 - ZERO_FACTOR_TOL,
-      where no factor can vanish, and only when LOG_SERIES_TERM_COST times
-      its term count (K_log plus the CONSECUTIVE_SMALL terms that confirm
-      the stop) is below K_prod.
+      whatever q is.
 
     Both routes raise NonConvergentError when max_terms runs out first.
     """
-    size = abs(a)
+    log_q = _log_series_log_q(abs(a), q, policy.tol)
+    if log_q is not None:
+        return _qpochhammer_log_series(a, q, log_q, policy), False
     tol = policy.tol
-    # For |a| >= q the series never has fewer terms than the product.
-    if tol <= size < min(q, 1.0 - ZERO_FACTOR_TOL):
-        log_q = math.log(q)
-        log_size = math.log(size)
-        k_prod = (math.log(tol) - log_size) / log_q
-        k_log = math.log(tol * (1.0 - size)) / log_size + CONSECUTIVE_SMALL
-        if LOG_SERIES_TERM_COST * k_log < k_prod:
-            return _qpochhammer_log_series(a, q, log_q, policy), False
     product = 1.0
     scaled = a
     head = 0
@@ -535,32 +550,111 @@ def _qpochhammer_inf(a: float, q: float, policy: TruncationPolicy) -> tuple[floa
             return product, False
         product *= 1.0 - scaled
         scaled *= q
-    raise NonConvergentError(
-        f"(a;q)_inf with a={a!r}, q={q!r} did not reach tol={policy.tol!r} "
-        f"within {policy.max_terms} factors"
-    )
+    raise NonConvergentError(_product_failure(a, q, policy))
+
+
+def _qpochhammer_inf_pm(
+    a: float, q: float, policy: TruncationPolicy
+) -> tuple[float, float] | None:
+    """((a; q)_infinity, (-a; q)_infinity) in one pass.
+
+    Each value is bit for bit what _qpochhammer_inf gives.  The two share
+    |q^k a|, so they share the route and the stopping index: the product
+    route multiplies 1 - q^k a and 1 + q^k a in one loop, and on the log
+    series route the terms at -a are those at a with alternating sign.
+    Returns None as soon as a factor of either product vanishes within
+    ZERO_FACTOR_TOL; the caller then evaluates the two one at a time, so
+    that poles and running out of max_terms are reported as those calls
+    report them.  Raises the NonConvergentError that _qpochhammer_inf(a)
+    raises.
+    """
+    log_q = _log_series_log_q(abs(a), q, policy.tol)
+    if log_q is not None:
+        terms = _terms_until_small(
+            _log_series_terms(a, log_q), policy, _LOG_SERIES_WHAT, a, q
+        )
+        # log (-a; q)_inf = -sum (-a)^n/(n(1 - q^n)), with n from 1.
+        return _exp_or_inf(-math.fsum(terms)), _exp_or_inf(_alternating_fsum(terms))
+    tol = policy.tol
+    plus = minus = 1.0  # (a; q)_k and (-a; q)_k
+    scaled = a
+    head = 0
+    while head < policy.max_terms and abs(scaled) >= ZERO_FACTOR_HEAD:
+        if abs(scaled) < tol:
+            return plus, minus
+        factor = 1.0 - scaled
+        other = 1.0 + scaled
+        if abs(factor) < ZERO_FACTOR_TOL or abs(other) < ZERO_FACTOR_TOL:
+            return None
+        plus *= factor
+        minus *= other
+        scaled *= q
+        head += 1
+    for _ in range(policy.max_terms - head):
+        if abs(scaled) < tol:
+            return plus, minus
+        plus *= 1.0 - scaled
+        minus *= 1.0 + scaled
+        scaled *= q
+    raise NonConvergentError(_product_failure(a, q, policy))
+
+
+def _log_series_log_q(size: float, q: float, tol: float) -> float | None:
+    """log q when the log series is the route for (a; q)_inf at |a| = size, else None.
+
+    The series is taken only for tol <= |a| < 1 - ZERO_FACTOR_TOL, where no
+    factor can vanish, and only when LOG_SERIES_TERM_COST times its term
+    count (K_log plus the CONSECUTIVE_SMALL terms that confirm the stop) is
+    below the product's K_prod.  For |a| >= q it is never shorter.
+    """
+    if tol <= size < min(q, 1.0 - ZERO_FACTOR_TOL):
+        log_q = math.log(q)
+        log_size = math.log(size)
+        k_prod = (math.log(tol) - log_size) / log_q
+        k_log = math.log(tol * (1.0 - size)) / log_size + CONSECUTIVE_SMALL
+        if LOG_SERIES_TERM_COST * k_log < k_prod:
+            return log_q
+    return None
 
 
 def _qpochhammer_log_series(a: float, q: float, log_q: float, policy: TruncationPolicy) -> float:
     """(a; q)_infinity for |a| < 1 as exp(-sum_{n>=1} a^n/(n(1 - q^n))).
 
-    1 - q^n is formed as -expm1(n log q), which keeps its relative accuracy
-    as q -> 1.  A sum past the double range gives inf, as the product would.
+    A sum past the double range gives inf, as the product would.
     """
-
-    def terms() -> Iterator[float]:
-        power = a
-        for n in count(1):
-            yield power / (n * -math.expm1(n * log_q))
-            power *= a
-
     log_sum, _ = _sum_until_small(
-        terms(), policy, 1.0, "(a;q)_inf log series with a={!r}, q={!r}", a, q
+        _log_series_terms(a, log_q), policy, _LOG_SERIES_WHAT, a, q
     )
+    return _exp_or_inf(-log_sum)
+
+
+_LOG_SERIES_WHAT = "(a;q)_inf log series with a={!r}, q={!r}"
+
+
+def _log_series_terms(a: float, log_q: float) -> Iterator[float]:
+    """a^n/(n(1 - q^n)) for n >= 1, with 1 - q^n = -expm1(n log q).
+
+    -expm1 keeps the relative accuracy of 1 - q^n as q -> 1.
+    """
+    power = a
+    for n in count(1):
+        yield power / (n * -math.expm1(n * log_q))
+        power *= a
+
+
+def _exp_or_inf(x: float) -> float:
+    """exp(x), or inf past the double range, as the product would give."""
     try:
-        return math.exp(-log_sum)
+        return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+def _product_failure(a: float, q: float, policy: TruncationPolicy) -> str:
+    return (
+        f"(a;q)_inf with a={a!r}, q={q!r} did not reach tol={policy.tol!r} "
+        f"within {policy.max_terms} factors"
+    )
 
 
 def q_shifted_factorial_inf(a: float, q: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:

@@ -13,6 +13,10 @@ Three related objects, each truncated under a TruncationPolicy:
   superexponential q-power damping.
 
 All three reduce to exp as (q, w) -> (1, 0).
+
+The drag routes need e_{q,w} and e_{1/q} at a and at -a together.
+_exp_qw_pm and _exp_qinv_difference evaluate such a pair in one pass, bit
+for bit what the two separate calls give.
 """
 
 from __future__ import annotations
@@ -25,9 +29,12 @@ from .core import (
     DEFAULT_POLICY,
     DeformationParams,
     TruncationPolicy,
+    _alternating_fsum,
     _check_q,
     _qpochhammer_inf,
+    _qpochhammer_inf_pm,
     _sum_until_small,
+    _terms_until_small,
     lattice_step,
     q_factorial,
 )
@@ -66,6 +73,28 @@ def exp_qw(
             f"e_(q,w) pole: product factor vanishes for a={a!r}, t={t!r}, "
             f"q={params.q!r}, w={params.w!r}"
         )
+    return _reciprocal(value)
+
+
+def _exp_qw_pm(
+    a: float, t: float, params: DeformationParams, policy: TruncationPolicy
+) -> tuple[float, float]:
+    """(exp_qw(-a, t), exp_qw(a, t)) from one pass over their products.
+
+    Bit for bit the two calls, in that order: their products are
+    (a step; q)_inf and (-a step; q)_inf, which _qpochhammer_inf_pm
+    evaluates together.  Where a factor of either vanishes, the two calls
+    are made one at a time, so the pole or NonConvergentError raised is
+    theirs.
+    """
+    pair = _qpochhammer_inf_pm(a * lattice_step(t, params), params.q, policy)
+    if pair is None:
+        return exp_qw(-a, t, params, policy), exp_qw(a, t, params, policy)
+    return _reciprocal(pair[0]), _reciprocal(pair[1])
+
+
+def _reciprocal(value: float) -> float:
+    """1/value of a product with no vanishing factor; one that underflowed gives inf."""
     if value == 0.0:
         return math.copysign(math.inf, value)
     return 1.0 / value
@@ -95,7 +124,7 @@ def exp_q_series(x: float, q: float, policy: TruncationPolicy = DEFAULT_POLICY) 
             qn *= q
             term *= x * (1.0 - q) / (1.0 - qn)
 
-    return _sum_until_small(terms(), policy, 1.0, "e_q series at x={!r}, q={!r}", x, q)[0]
+    return _sum_until_small(terms(), policy, "e_q series at x={!r}, q={!r}", x, q)[0]
 
 
 def exp_qinv_series(x: float, q: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
@@ -107,18 +136,34 @@ def exp_qinv_series(x: float, q: float, policy: TruncationPolicy = DEFAULT_POLIC
     q^(-j)-sized quantity is ever formed.
     """
     _check_q(q)
+    return _sum_until_small(_qinv_terms(x, q), policy, _QINV_WHAT, x, q)[0]
 
-    def terms() -> Iterator[float]:
-        term = 1.0
-        qn = 1.0
-        qpow = 1.0  # q^(n-1) ahead of term n
-        while True:
-            yield term
-            qn *= q
-            term *= qpow * x * (1.0 - q) / (1.0 - qn)
-            qpow *= q
 
-    return _sum_until_small(terms(), policy, 1.0, "e_(1/q) series at x={!r}, q={!r}", x, q)[0]
+_QINV_WHAT = "e_(1/q) series at x={!r}, q={!r}"
+
+
+def _qinv_terms(x: float, q: float) -> Iterator[float]:
+    """The terms q^(n(n-1)/2) x^n / [n]_q! of e_{1/q}(x), n >= 0."""
+    term = 1.0
+    qn = 1.0
+    qpow = 1.0  # q^(n-1) ahead of term n
+    while True:
+        yield term
+        qn *= q
+        term *= qpow * x * (1.0 - q) / (1.0 - qn)
+        qpow *= q
+
+
+def _exp_qinv_difference(x: float, q: float, policy: TruncationPolicy) -> float:
+    """e_{1/q}(x) - e_{1/q}(-x) from one term list.
+
+    The terms at -x are those at x with the odd ones negated, bit for bit,
+    and both series stop at the same index, so this is bit for bit the
+    difference of the two exp_qinv_series calls, and raises what the first
+    of them raises.
+    """
+    terms = _terms_until_small(_qinv_terms(x, q), policy, _QINV_WHAT, x, q)
+    return math.fsum(terms) - _alternating_fsum(terms)
 
 
 def odd_part_qinv(
@@ -131,13 +176,14 @@ def odd_part_qinv(
         lhs = e_{1/q}(a) - e_{1/q}(-a)
         rhs = 2 sum_{n>=0} a^(2n+1) / [2n+1]_{1/q}!
 
-    The left side sums the full series twice and lets the even terms cancel;
-    the right side sums only the odd terms directly, each computed from the
-    bounded rewrite q^(n(2n+1)) a^(2n+1)/[2n+1]_q!.  The two summation paths
-    share no intermediate state, so their agreement is a genuine check.
+    The left side sums the full series at a and at -a (one term list, see
+    _exp_qinv_difference) and lets the even terms cancel; the right side
+    sums only the odd terms directly, each computed from the bounded rewrite
+    q^(n(2n+1)) a^(2n+1)/[2n+1]_q!.  The two summation paths share no
+    intermediate state, so their agreement is a genuine check.
     """
     _check_q(q)
-    lhs = exp_qinv_series(a, q, policy) - exp_qinv_series(-a, q, policy)
+    lhs = _exp_qinv_difference(a, q, policy)
 
     def odd_terms() -> Iterator[float]:
         for n in count():
@@ -146,6 +192,6 @@ def odd_part_qinv(
             yield 2.0 * q ** (n * m) * a**m / q_factorial(m, q)
 
     rhs, _ = _sum_until_small(
-        odd_terms(), policy, 1.0, "odd-part series at a={!r}, q={!r}", a, q
+        odd_terms(), policy, "odd-part series at a={!r}, q={!r}", a, q
     )
     return lhs, rhs

@@ -9,9 +9,11 @@ lattice points and can be solved three independent ways:
 * a power series with q^(n(2n+1)) weights for the gravity-driven part
   (gravity_drag_velocity_series),
 * backward recursion of the lattice equation of motion itself from a
-  far-downlattice boundary value (the *_iterative solvers), which assumes
-  nothing beyond the equation of motion and therefore serves as the oracle
-  for the other two.
+  boundary value near the fixed point (the *_iterative solvers), which
+  assumes nothing beyond the equation of motion and therefore serves as the
+  oracle for the other two.  The gravity-driven one starts from the
+  solution's local power series about w0, whose coefficients follow from
+  the equation of motion alone.
 
 Conventions: downward is positive, so g > 0 accelerates the fall.  The
 drag strength enters through kappa = k/(m(1+q)).  Velocities are anchored
@@ -40,7 +42,7 @@ from .core import (
     lattice_step,
 )
 from .errors import NonConvergentError, ZeroFactorError
-from .qexp import exp_qinv_series, exp_qw
+from .qexp import _exp_qinv_difference, _exp_qw_pm
 
 __all__ = [
     "DragParams",
@@ -61,6 +63,17 @@ __all__ = [
 # So a drag factor (1 + x)/(1 - x) there, and at every later and smaller
 # |q^j x|, leaves the running product unchanged.
 UNIT_FACTOR_BOUND = 2.0**-54
+
+# The gravity-driven iteration walks down the lattice to the first point t_N
+# whose distance x = t_N - w0 to the fixed point has kappa |x| <=
+# SERIES_START and |kappa u_N| = kappa (1 - q) |x| <= q^3/2, and starts there
+# from the velocity's power series about w0, whose term ratio then tends to
+# |kappa u_N|.  A larger SERIES_START takes fewer steps and more terms, and
+# those cancel where x > 0: the largest exceeds their sum by a factor that
+# grows like e^(4 SERIES_START), about 600 at 2.  The q^3/2 bound binds below
+# q = 0.85, where a step shrinks x by much: on the drag-sweep grid at q = 0.3
+# it trades 2.3 more steps for 11 terms in place of 25.
+SERIES_START = 2.0
 
 
 @dataclass(frozen=True)
@@ -107,11 +120,11 @@ def _homogeneous_pair(
 ) -> tuple[float, float]:
     """(e_{q,w}(-kappa t), e_{q,w}(kappa t)), the homogeneous drag factors.
 
-    The closed and series routes of one table row share them, so the last
+    Both come from one pass over their products (see qexp._exp_qw_pm).  The
+    closed and series routes of one table row share them, so the last
     argument set is memoised; all four arguments are frozen and hashable.
     """
-    rate = kappa(dp, params.q)
-    return exp_qw(-rate, t, params, policy), exp_qw(rate, t, params, policy)
+    return _exp_qw_pm(kappa(dp, params.q), t, params, policy)
 
 
 def drag_velocity(
@@ -211,9 +224,7 @@ def gravity_drag_velocity(
     """
     e_minus, e_plus = _homogeneous_pair(dp, t, params, policy)
     x_arg = kappa(dp, params.q) * (t - params.w0)
-    bracket = exp_qinv_series(x_arg, params.q, policy) - exp_qinv_series(
-        -x_arg, params.q, policy
-    )
+    bracket = _exp_qinv_difference(x_arg, params.q, policy)
     coeff = (1.0 + params.q) * dp.m * dp.g / (2.0 * dp.k)
     return dp.v0 * e_minus / e_plus + coeff * e_minus * bracket
 
@@ -251,7 +262,7 @@ def gravity_drag_velocity_series(
                 * ((1.0 - q ** (2 * n + 3)) / (1.0 - q))
             )
 
-    odd_sum, _ = _sum_until_small(odd_terms(), policy, 1.0, "odd drag series at t={!r}", t)
+    odd_sum, _ = _sum_until_small(odd_terms(), policy, "odd drag series at t={!r}", t)
     driven = (1.0 + q) * dp.m * dp.g / dp.k * e_minus * odd_sum
     return dp.v0 * e_minus / e_plus + driven
 
@@ -260,32 +271,65 @@ def gravity_drag_velocity_iterative(
     dp: DragParams,
     t: float,
     params: DeformationParams,
-    n_steps: int,
+    n_steps: int | None = None,
+    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> float:
     """Gravity-plus-drag velocity by backward recursion of the motion equation.
 
-    Starting from v = v0 at the n_steps-th lattice point (which has
-    contracted toward the fixed point, where v0 is the exact datum), the
-    equation of motion
+    The equation of motion links neighbouring lattice points t_j, t_(j+1):
 
-        (1 - kappa u_j) v(t_j) = -g u_j + (1 + kappa u_j) v(t_{j+1})
+        (1 - kappa u_j) v(t_j) = -g u_j + (1 + kappa u_j) v(t_(j+1)),
 
-    is unwound back to t_0 = t, with u_j = q^j ((q-1)t + w).  Nothing but
-    the motion equation is assumed, so this validates both the closed form
-    and the series resummation.  Raises ZeroFactorError when a factor
-    1 - kappa u_j vanishes within tolerance; only the head of near points,
-    j < head with |kappa u_j| >= ZERO_FACTOR_HEAD, is tested, because no
-    farther factor can vanish.
+    with u_j = q^j ((q-1)t + w).  It is unwound from a value at t_N back to
+    t_0 = t.  Nothing but the motion equation is assumed, so this validates
+    both the closed form and the series resummation.
+
+    By default the value at t_N comes from the solution's power series in
+    x = t_N - w0 about the fixed point, sum c_n x^n, whose coefficients the
+    motion equation fixes: c_0 = v0, c_1 = g - 2 kappa v0 and
+    c_(n+1) = -kappa (1 + q^n) c_n / [n+1]_q.  N is the first depth with
+    kappa |x| <= SERIES_START and |kappa u_N| <= q^3/2, where the series is
+    short and its term ratio tends to |kappa u_N|.  Steps and series
+    terms together count against policy.max_terms, and NonConvergentError
+    is raised when they run out.
+
+    An explicit n_steps is the fixed depth N instead, starting from v = v0
+    at t_N, with no budget; it leaves an error of about c_1 q^N |t - w0|.
+
+    Raises ZeroFactorError when a factor 1 - kappa u_j vanishes within
+    tolerance; only the head of near points with |kappa u_j| >=
+    ZERO_FACTOR_HEAD is tested, because no farther factor can vanish.
     """
-    _check_count(n_steps, "n_steps")
     q = params.q
-    g = dp.g
     rate = kappa(dp, q)
+    if n_steps is not None:
+        _check_count(n_steps, "n_steps")
+        v = dp.v0
+    else:
+        # The largest |x| with kappa |x| <= SERIES_START and |kappa u_N| <= q^3/2.
+        start = min(SERIES_START, 0.5 * q**3 / (1.0 - q)) / rate
+        s = t - params.w0
+        n_steps = 0
+        if not abs(s) <= start:
+            # The first N with q^N |s| <= start; the whole budget, which makes
+            # the series below raise, where s is not finite or start is 0.
+            n_steps = policy.max_terms
+            if start > 0.0 and math.isfinite(s):
+                depth = (math.log(start) - math.log(abs(s))) / math.log(q)
+                n_steps = min(n_steps, math.ceil(depth))
+        v, _ = _sum_until_small(
+            _gravity_drag_series_terms(dp, rate, q, s * q**n_steps),
+            policy,
+            "gravity-drag iteration at t={!r}, q={!r}",
+            t,
+            q,
+            spent=n_steps,
+        )
+    g = dp.g
     u0 = lattice_step(t, params)
     head = 0
     while head < n_steps and abs(rate * (u0 * q**head)) >= ZERO_FACTOR_HEAD:
         head += 1
-    v = dp.v0
     for j in range(n_steps - 1, head - 1, -1):
         uj = u0 * q**j
         drag = rate * uj
@@ -301,6 +345,26 @@ def gravity_drag_velocity_iterative(
             )
         v = (-g * uj + (1.0 + drag) * v) / denom
     return v
+
+
+def _gravity_drag_series_terms(
+    dp: DragParams, rate: float, q: float, x: float
+) -> Iterator[float]:
+    """c_n x^n, n >= 0, of the velocity's power series about the fixed point.
+
+    [n+1]_q is summed up as 1 + q + ... + q^n, which keeps its relative
+    accuracy as q -> 1, where 1 - q^(n+1) would cancel.
+    """
+    yield dp.v0
+    term = (dp.g - 2.0 * rate * dp.v0) * x
+    ratio = -rate * x
+    qn = q  # q^n ahead of term n + 1
+    q_int = 1.0  # [n]_q
+    while True:
+        yield term
+        q_int += qn
+        term *= ratio * (1.0 + qn) / q_int
+        qn *= q
 
 
 def classical_drag_velocity(dp: DragParams, t: float) -> float:

@@ -252,6 +252,27 @@ def test_pure_drag_iteration_budget_flags_nonconvergent():
     assert all(row[2] and row[3] == "ok" for row in rows)
 
 
+def test_gravity_iteration_budget_flags_nonconvergent():
+    # At q = 0.99, w0 = 2000 the walk toward the fixed point alone takes about
+    # 550 steps, past a budget of 500; a larger budget fills every cell.
+    args = [
+        "drag", "--q", "0.99", "--w", "20", "--g", "9.8", "--v0", "1",
+        "--t-start", "0", "--t-end", "2", "--samples", "5",
+        "--routes", "iterative,classical",
+    ]
+    proc = run_cli(*args, "--max-terms", "500")
+    assert proc.returncode == 3
+    meta, header, rows = parse_csv(proc.stdout)
+    assert meta["iter_n"] == "auto"
+    assert header == ["t", "iterative", "classical", "flag"]
+    assert len(rows) == 5
+    assert all(not row[1] and row[2] and row[3] == "nonconvergent" for row in rows)
+    proc = run_cli(*args, "--max-terms", "1000")
+    assert proc.returncode == 0
+    _, _, rows = parse_csv(proc.stdout)
+    assert all(row[1] and row[3] == "ok" for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # verify command
 

@@ -292,6 +292,45 @@ def test_head_only_zero_factor_test_changes_nothing(q, tol):
             assert got == first_written_product(a, q, policy)
 
 
+def one_at_a_time(a, q, policy):
+    """What the one-pass pair must give, from one _qpochhammer_inf call per sign.
+
+    None where a factor of either vanishes, the message where the call at a
+    runs out of max_terms, else the two values.
+    """
+    results = []
+    for x in (a, -a):
+        try:
+            results.append(core._qpochhammer_inf(x, q, policy))
+        except NonConvergentError as exc:
+            results.append(str(exc))
+    if any(isinstance(r, tuple) and r[1] for r in results):
+        return None
+    if isinstance(results[0], str):
+        return results[0]
+    return results[0][0], results[1][0]
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+def test_plus_minus_pair_is_bit_identical_to_two_calls(q):
+    # Log-series sizes, products with |a| >= q, the zero factors q^-k of
+    # either sign, products past the double range, and sizes below tol.
+    sizes = [1e-15, 1e-6, 0.01, 0.05, 0.3, 0.6, 0.95, 1.7, 40.0, 1e5]
+    sizes += [q**-k for k in range(4)]
+    routes = set()
+    for a in sizes + [-size for size in sizes]:
+        for tol in (1e-14, 0.7):
+            for max_terms in (1, 2, 3, 5, 40, 100_000):
+                policy = TruncationPolicy(tol=tol, max_terms=max_terms)
+                routes.add(core._log_series_log_q(abs(a), q, tol) is not None)
+                try:
+                    got = core._qpochhammer_inf_pm(a, q, policy)
+                except NonConvergentError as exc:
+                    got = str(exc)
+                assert repr(got) == repr(one_at_a_time(a, q, policy))
+    assert routes == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # lattice advance
 

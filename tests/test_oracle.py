@@ -17,6 +17,7 @@ from hahncalc import (
     drag_velocity_iterative,
     exp_qw,
     gravity_drag_velocity,
+    gravity_drag_velocity_iterative,
     gravity_drag_velocity_series,
     hahn_integral,
     iterate_first_order,
@@ -158,6 +159,23 @@ def test_pure_drag_iteration_at_default_depth_against_oracle(q):
             value = drag_velocity_iterative(PURE_DRAG, t, params)
             worst = max(worst, rel_err(value, ref_drag(PURE_DRAG, t, q, w)))
     assert worst < PURE_DRAG_BOUND[q]
+
+
+@pytest.mark.parametrize("q", Q_GRID)
+def test_gravity_iteration_at_default_depth_against_oracle(q):
+    # The default walk starts from the power series about w0.  The old fixed
+    # depth of 150 leaves a boundary error of order q^150 |t - w0|: about 1
+    # relative at q = 0.99.  At t = 40, far past w0, the series' terms
+    # alternate in sign, and starting it too far out loses digits.
+    worst = 0.0
+    for w in (0.0, 0.1, 1.0):
+        params = DeformationParams(q=q, w=w)
+        for v0 in (0.0, 1.0):
+            dp = DragParams(m=1.0, k=0.5, g=9.8, v0=v0)
+            for t in (0.1, 0.7, 1.3, 1.9, 40.0):
+                value = gravity_drag_velocity_iterative(dp, t, params)
+                worst = max(worst, rel_err(value, ref_drag(dp, t, q, w)))
+    assert worst < BOUND
 
 
 def polynomial_cases(q, w, seed):

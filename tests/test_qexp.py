@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hahncalc import qexp
 from hahncalc import (
     DeformationParams,
+    HahnCalcError,
     OutOfRadiusError,
     PoleEncounteredError,
     TruncationPolicy,
@@ -148,3 +150,50 @@ def test_odd_part_lhs_is_series_difference():
     a, q = 1.0, 0.5
     lhs, _ = odd_part_qinv(a, q)
     assert lhs == pytest.approx(exp_qinv_series(a, q) - exp_qinv_series(-a, q), rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# one pass for the values at a and -a
+
+
+def outcome(evaluate, *args):
+    """repr of the value, or the type and message of the library error raised."""
+    try:
+        return repr(evaluate(*args))
+    except HahnCalcError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def exp_qw_two_calls(a, t, params, policy):
+    return exp_qw(-a, t, params, policy), exp_qw(a, t, params, policy)
+
+
+@pytest.mark.parametrize("q, w", [(0.3, 0.0), (0.5, 0.1), (0.9, 0.5), (0.99, 0.5), (0.999, 0.0)])
+def test_exp_qw_pair_is_bit_identical_to_two_calls(q, w):
+    # Times over both signs of the step, the poles of either exponential
+    # (a factor q^k a step = +-1 vanishes), and at q = 0.999, t = 3600 a pair
+    # past the double range: inf and 0.
+    params = DeformationParams(q=q, w=w)
+    for a in (0.25, 1.0, 2.5):
+        poles = [(w + sign / (a * q**k)) / (1.0 - q) for sign in (1.0, -1.0) for k in range(3)]
+        times = [-60.0 + 3.0 * i for i in range(41)] + poles + [3600.0]
+        for t in times:
+            for max_terms in (3, 40, 100_000):
+                policy = TruncationPolicy(max_terms=max_terms)
+                got = outcome(qexp._exp_qw_pm, a, t, params, policy)
+                assert got == outcome(exp_qw_two_calls, a, t, params, policy)
+    overflow = qexp._exp_qw_pm(0.25, 3600.0, DeformationParams(q=0.999), TruncationPolicy())
+    assert overflow == (0.0, math.inf)
+
+
+def exp_qinv_two_calls(x, q, policy):
+    return exp_qinv_series(x, q, policy) - exp_qinv_series(-x, q, policy)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.99])
+def test_exp_qinv_difference_is_bit_identical_to_two_calls(q):
+    for x in [-30.0 + 1.5 * i for i in range(41)] + [1e-300, 0.37, -2.9]:
+        for max_terms in (1, 3, 10, 100_000):
+            policy = TruncationPolicy(max_terms=max_terms)
+            got = outcome(qexp._exp_qinv_difference, x, q, policy)
+            assert got == outcome(exp_qinv_two_calls, x, q, policy)

@@ -199,6 +199,62 @@ def test_gravity_iterative_equation_of_motion_on_lattice():
         assert abs(residual) < 1e-6
 
 
+# Values of the fixed-depth gravity recursion as first released, for
+# DragParams(m=2, k=0.7, g=9.8, v0=1.5) at w = 0.5 and t = -1, 0.7, 1.9.
+FIXED_DEPTH_VALUES = {
+    (0.5, 40): ("-0x1.d15c9a0ee5522p+4", "-0x1.6e5ac11ad2a80p+0", "0x1.065dcd91c2e68p+3"),
+    (0.5, 150): ("-0x1.d15c9a0ee83e2p+4", "-0x1.6e5ac11ad5cc3p+0", "0x1.065dcd91c3929p+3"),
+    (0.99, 40): ("-0x1.3b39f82973960p+13", "-0x1.022c1c4d4e060p+13", "-0x1.c0739770febe5p+12"),
+    (0.99, 150): ("-0x1.db8e2107c780fp+24", "-0x1.2a14726011c2cp+24", "-0x1.acbc1e368c08bp+23"),
+}
+
+
+@pytest.mark.parametrize("q, n_steps", list(FIXED_DEPTH_VALUES))
+def test_explicit_depth_keeps_its_values_bit_for_bit(q, n_steps):
+    dp = DragParams(m=2.0, k=0.7, g=9.8, v0=1.5)
+    params = DeformationParams(q=q, w=0.5)
+    got = [gravity_drag_velocity_iterative(dp, t, params, n_steps).hex() for t in (-1.0, 0.7, 1.9)]
+    assert got == list(FIXED_DEPTH_VALUES[q, n_steps])
+
+
+@pytest.mark.parametrize("v0", [0.0, 1.5])
+def test_gravity_default_depth_is_exact_at_the_fixed_point(v0):
+    # There the series is taken at x = 0, where its sum is c_0 = v0.
+    dp = DragParams(m=1.0, k=0.5, g=9.8, v0=v0)
+    for params in (P, DeformationParams(q=0.99, w=0.5)):
+        assert gravity_drag_velocity_iterative(dp, params.w0, params) == v0
+
+
+def test_gravity_default_depth_counts_steps_and_terms_against_max_terms():
+    # At q = 0.99, t = 0, w0 = 50 the walk takes about 180 steps and the
+    # series about 35 terms: the budget that just suffices covers both.
+    params = DeformationParams(q=0.99, w=0.5)
+    value = gravity_drag_velocity_iterative(GRAV, 0.0, params)
+
+    def fits(budget):
+        try:
+            result = gravity_drag_velocity_iterative(
+                GRAV, 0.0, params, policy=TruncationPolicy(max_terms=budget)
+            )
+        except NonConvergentError as exc:
+            assert "gravity-drag iteration" in str(exc)
+            return False
+        assert result == value
+        return True
+
+    budget = next(b for b in range(1, 1000) if fits(b))
+    assert 150 < budget < 250
+    assert not fits(budget - 1)
+    # An explicit depth is not budgeted.
+    gravity_drag_velocity_iterative(GRAV, 0.0, params, 150, TruncationPolicy(max_terms=1))
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_gravity_default_depth_at_non_finite_times_raises_nonconvergent(t):
+    with pytest.raises(NonConvergentError, match="gravity-drag iteration"):
+        gravity_drag_velocity_iterative(GRAV, t, P)
+
+
 def test_gravity_equation_of_motion_residual():
     bound = 1e-8 * (1 + abs(GRAV.m * GRAV.g))
     for i in range(20):
@@ -342,30 +398,32 @@ def test_closed_form_past_the_double_range_is_zero_not_a_crash():
 
 
 @pytest.fixture
-def exp_qw_calls(monkeypatch):
-    """Count calls of exp_qw made through resist, with an empty memo."""
+def pair_calls(monkeypatch):
+    """Count one-pass evaluations of the pair e(-kappa t), e(kappa t) made
+    through resist, with an empty memo."""
     calls = []
+    original = resist._exp_qw_pm
 
     def counting(*args):
         calls.append(args)
-        return exp_qw(*args)
+        return original(*args)
 
-    monkeypatch.setattr(resist, "exp_qw", counting)
+    monkeypatch.setattr(resist, "_exp_qw_pm", counting)
     resist._homogeneous_pair.cache_clear()
     return calls
 
 
 @pytest.mark.parametrize("g", [0.0, 9.8])
-def test_closed_and_series_share_the_homogeneous_factor(g, exp_qw_calls):
+def test_closed_and_series_share_the_homogeneous_factor(g, pair_calls):
     dp = DragParams(m=1.0, k=0.5, g=g, v0=1.0)
     params = DeformationParams(q=0.99, w=0.5)
     closed = drag_velocity if g == 0.0 else gravity_drag_velocity
     closed(dp, 0.7, params)
     gravity_drag_velocity_series(dp, 0.7, params)
-    assert len(exp_qw_calls) == 2
+    assert len(pair_calls) == 1
 
 
-def test_homogeneous_factor_recomputed_for_other_arguments(exp_qw_calls):
+def test_homogeneous_factor_recomputed_for_other_arguments(pair_calls):
     dp = DragParams(m=1.0, k=0.5, g=9.8, v0=1.0)
     params = DeformationParams(q=0.9, w=0.5)
     other_params = DeformationParams(q=0.8, w=0.5)
@@ -377,7 +435,7 @@ def test_homogeneous_factor_recomputed_for_other_arguments(exp_qw_calls):
     ]
     gravity_drag_velocity(dp, 0.7, params)
     evaluated = [gravity_drag_velocity(*case) for case in cases]
-    assert len(exp_qw_calls) == 2 * (1 + len(cases))
+    assert len(pair_calls) == 1 + len(cases)
     fresh = []
     for case in cases:
         resist._homogeneous_pair.cache_clear()
