@@ -5,7 +5,8 @@ Subcommands:
 * kinematics: constant-acceleration trajectories on the (q,w) lattice,
   one column per solver route plus the undeformed classical reference.
 * drag: resisted-fall velocities (pure drag when --g 0), closed, series,
-  iterative, and classical routes.
+  iterative, and classical routes.  The iterative route stops by its own
+  rule (see resist), within the --max-terms budget.
 * verify: run the randomized identity suite and print one line per
   identity with its worst residual and pass/fail status.
 * sweep: run kinematics or drag over swept q and/or w values in long
@@ -105,7 +106,7 @@ def _add_output_args(parser: argparse.ArgumentParser) -> None:
         "--max-terms",
         type=int,
         default=DEFAULT_POLICY.max_terms,
-        help="series/product term budget before giving up",
+        help="budget of terms, factors and steps per evaluation before giving up",
     )
     parser.add_argument(
         "--format",
@@ -127,15 +128,6 @@ def _add_drag_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--g", type=float, default=9.8, help="gravitational acceleration (0: pure drag)"
-    )
-    parser.add_argument(
-        "--iter-n",
-        type=int,
-        default=None,
-        help="fixed iteration depth for the iterative route (default: pure drag "
-        "stops exactly where the remaining factors are 1.0; with gravity it "
-        "starts from the power series about the fixed point; either way within "
-        "--max-terms steps and terms)",
     )
 
 
@@ -326,18 +318,17 @@ def _drag_setup(
         dp = DragParams(m=args.m, k=args.k, g=args.g, v0=args.v0)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.iter_n is not None and args.iter_n < 0:
-        parser.error("--iter-n must be nonnegative")
-    n_steps = args.iter_n
 
     def evaluators(params: DeformationParams) -> dict[str, Callable[[float], float]]:
+        # The iterative routes take policy by keyword: a positional fourth
+        # argument reads as a fixed depth to perfbench's drag_steps hook.
         if dp.g == 0.0:
             closed = lambda t: drag_velocity(dp, t, params, policy)
-            iterative = lambda t: drag_velocity_iterative(dp, t, params, n_steps, policy)
+            iterative = lambda t: drag_velocity_iterative(dp, t, params, policy=policy)
         else:
             closed = lambda t: gravity_drag_velocity(dp, t, params, policy)
             iterative = lambda t: gravity_drag_velocity_iterative(
-                dp, t, params, n_steps, policy
+                dp, t, params, policy=policy
             )
         return {
             "closed": closed,
@@ -346,9 +337,7 @@ def _drag_setup(
             "classical": lambda t: classical_drag_velocity(dp, t),
         }
 
-    iter_n = "auto" if n_steps is None else n_steps
-    metadata = {"m": dp.m, "k": dp.k, "g": dp.g, "v0": dp.v0, "iter_n": iter_n}
-    return metadata, evaluators
+    return {"m": dp.m, "k": dp.k, "g": dp.g, "v0": dp.v0}, evaluators
 
 
 # The table commands: help text, route names, physics arguments, and a setup

@@ -139,10 +139,11 @@ def _check_count(k: int, name: str = "k") -> None:
 class DeformationParams:
     """Deformation parameters (q, w) and the derived fixed point w0.
 
-    Constraints: 0 < q < 1 strictly and w >= 0, both finite.  w = 0 is the
-    pure Jackson q-calculus case (then w0 = 0).  q = 1 and negative w are
-    rejected: the former degenerates the lattice map, the latter breaks its
-    convergence toward w0 from positive start points.
+    Constraints: 0 < q < 1 strictly and w >= 0, both finite, and w0 finite.
+    w = 0 is the pure Jackson q-calculus case (then w0 = 0).  q = 1 and
+    negative w are rejected: the former degenerates the lattice map, the
+    latter breaks its convergence toward w0 from positive start points.  A
+    w0 past the double range would empty every route anchored there.
     """
 
     q: float
@@ -154,7 +155,10 @@ class DeformationParams:
             raise ValueError(f"q must be finite and strictly inside (0, 1), got {self.q!r}")
         if not math.isfinite(self.w) or self.w < 0.0:
             raise ValueError(f"w must be finite and nonnegative, got {self.w!r}")
-        object.__setattr__(self, "w0", self.w / (1.0 - self.q))
+        w0 = self.w / (1.0 - self.q)
+        if not math.isfinite(w0):
+            raise ValueError(f"w0 = w/(1-q) must be finite, got w={self.w!r}, q={self.q!r}")
+        object.__setattr__(self, "w0", w0)
 
 
 @dataclass(frozen=True)
@@ -493,9 +497,10 @@ def q_inv_factorial(n: int, q: float) -> float:
     _check_q(q)
     _check_count(n, "n")
     exponent = n * (n - 1) // 2
-    prefactor = q ** float(-exponent)
-    if math.isinf(prefactor):
-        raise OverflowError(f"q^(-{exponent}) exceeds double range for q={q!r}")
+    try:
+        prefactor = q ** float(-exponent)
+    except OverflowError:
+        raise OverflowError(f"q^(-{exponent}) exceeds double range for q={q!r}") from None
     return prefactor * q_factorial(n, q)
 
 

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import (
-    DEFAULT_POLICY,
     DeformationParams,
-    TruncationPolicy,
     advance,
     hahn_derivative,
     lattice_step,
@@ -95,13 +93,7 @@ def _random_poly(rng: random.Random, max_degree: int) -> Callable[[float], float
     return poly
 
 
-def check_leibniz(
-    q: float,
-    w: float,
-    rng: random.Random,
-    cases: int,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> float:
+def check_leibniz(q: float, w: float, rng: random.Random, cases: int) -> float:
     """D(fg)(t) = Df(t) g(t) + f(qt+w) Dg(t) for random quartic f, g."""
     params = DeformationParams(q, w)
     worst = 0.0
@@ -117,13 +109,7 @@ def check_leibniz(
     return worst
 
 
-def check_quotient(
-    q: float,
-    w: float,
-    rng: random.Random,
-    cases: int,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> float:
+def check_quotient(q: float, w: float, rng: random.Random, cases: int) -> float:
     """D(f/g)(t) = (Df(t) g(t) - f(t) Dg(t)) / (g(t) g(qt+w)).
 
     g and t are redrawn until |g| >= 0.5 at both lattice points, keeping
@@ -149,13 +135,7 @@ def check_quotient(
     return worst
 
 
-def check_power_rule(
-    q: float,
-    w: float,
-    rng: random.Random,
-    cases: int,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> float:
+def check_power_rule(q: float, w: float, rng: random.Random, cases: int) -> float:
     """D(t^n) = sum_{k=0}^{n-1} (qt+w)^k t^(n-1-k) for n <= 8."""
     params = DeformationParams(q, w)
     worst = 0.0
@@ -174,7 +154,6 @@ def check_shifted_power_rule(
     w: float,
     rng: random.Random,
     cases: int,
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> float:
     """D((at+b)^n) = a sum_{k=0}^{n-1} (a(qt+w)+b)^k (at+b)^(n-1-k), n <= 6."""
     params = DeformationParams(q, w)
@@ -197,7 +176,6 @@ def check_lattice_polynomial_derivative(
     w: float,
     rng: random.Random,
     cases: int,
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> float:
     """D((t; q,w)_n) = [n]_q (t; q,w)_(n-1) for n <= 6."""
     params = DeformationParams(q, w)
@@ -211,13 +189,7 @@ def check_lattice_polynomial_derivative(
     return worst
 
 
-def check_q_number_sum(
-    q: float,
-    w: float,
-    rng: random.Random,
-    cases: int,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> float:
+def check_q_number_sum(q: float, w: float, rng: random.Random, cases: int) -> float:
     """sum_{k<N} [k]_q = (N - [N]_q)/(1-q) for N <= 50."""
     worst = 0.0
     for _ in range(cases):
@@ -233,7 +205,6 @@ def check_weighted_q_number_sum(
     w: float,
     rng: random.Random,
     cases: int,
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> float:
     """sum_{k<N} q^k [k]_q = q [N]_q [N-1]_q / (1+q) for N <= 50."""
     worst = 0.0
@@ -250,7 +221,6 @@ def check_exp_eigenfunction(
     w: float,
     rng: random.Random,
     cases: int,
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> float:
     """D_t e_{q,w}(at) = a e_{q,w}(at) at random pole-free (a, t)."""
     params = DeformationParams(q, w)
@@ -265,24 +235,18 @@ def check_exp_eigenfunction(
                 break
         else:
             raise RuntimeError("eigenfunction sampler could not avoid poles")
-        lhs = hahn_derivative(lambda s: exp_qw(a, s, params, policy), t, params)
-        rhs = a * exp_qw(a, t, params, policy)
+        lhs = hahn_derivative(lambda s: exp_qw(a, s, params), t, params)
+        rhs = a * exp_qw(a, t, params)
         worst = max(worst, abs(lhs - rhs))
     return worst
 
 
-def check_odd_part(
-    q: float,
-    w: float,
-    rng: random.Random,
-    cases: int,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> float:
+def check_odd_part(q: float, w: float, rng: random.Random, cases: int) -> float:
     """Odd part of e_{1/q}: the two summation paths of odd_part_qinv agree."""
     worst = 0.0
     for _ in range(cases):
         a = rng.uniform(-2.0, 2.0)
-        lhs, rhs = odd_part_qinv(a, q, policy)
+        lhs, rhs = odd_part_qinv(a, q)
         worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -292,7 +256,6 @@ def check_kernel_resummation(
     w: float,
     rng: random.Random,
     cases: int,
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> float:
     """Driven-response kernel: iteration sum equals odd-power resummation.
 
@@ -329,7 +292,6 @@ def run_suite(
     w_grid: Sequence[float] = DEFAULT_W_GRID,
     cases: int = 200,
     tol: float | None = None,
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> list[IdentityResult]:
     """Run every identity check over the (q, w) grid.
 
@@ -348,7 +310,7 @@ def run_suite(
         total = 0
         for q in q_grid:
             for w in w_grid:
-                worst = max(worst, check(q, w, rng, per_point, policy))
+                worst = max(worst, check(q, w, rng, per_point))
                 total += per_point
         results.append(
             IdentityResult(

@@ -13,7 +13,9 @@ lattice points and can be solved three independent ways:
   assumes nothing beyond the equation of motion and therefore serves as the
   oracle for the other two.  The gravity-driven one starts from the
   solution's local power series about w0, whose coefficients follow from
-  the equation of motion alone.
+  the equation of motion alone.  Each iterative route has one stopping
+  rule, taken from error bounds, and counts its work against
+  TruncationPolicy.max_terms.
 
 Conventions: downward is positive, so g > 0 accelerates the fall.  The
 drag strength enters through kappa = k/(m(1+q)).  Velocities are anchored
@@ -147,7 +149,6 @@ def drag_velocity_iterative(
     dp: DragParams,
     t: float,
     params: DeformationParams,
-    n_steps: int | None = None,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> float:
     """Pure-drag velocity by iterating the equation of motion.
@@ -160,23 +161,18 @@ def drag_velocity_iterative(
 
         v(t) ~ v0 (-z; q)_N / (z; q)_N,   z = kappa ((q-1)t + w).
 
-    By default the product stops exactly: at the first j with
-    |q^j z| <= UNIT_FACTOR_BOUND (2^-54) every remaining factor is exactly
-    1.0/1.0, so the result is bit-identical to that of every deeper fixed
-    depth.  Each factor counts against policy.max_terms, and
-    NonConvergentError is raised when they run out first (q near 1 with a
-    small budget).  An explicit n_steps is the fixed depth N instead, with
-    no budget; there too the factors past the exact stop are skipped, which
-    changes no bit of the result.
+    The product stops exactly: at the first j with |q^j z| <=
+    UNIT_FACTOR_BOUND (2^-54) every remaining factor is exactly 1.0/1.0, so
+    the result is bit-identical to the product at every deeper N.  Each
+    factor counts against policy.max_terms, and NonConvergentError is raised
+    when they run out first (q near 1 with a small budget).
 
     This route never consults the deformed exponentials, so it is an
     independent oracle for drag_velocity.  Raises ZeroFactorError when a
     denominator factor vanishes within tolerance; only the head of factors
     with |q^j z| >= ZERO_FACTOR_HEAD is tested, because no later one can.
     """
-    if n_steps is not None:
-        _check_count(n_steps, "n_steps")
-    limit = policy.max_terms if n_steps is None else n_steps
+    limit = policy.max_terms
     q = params.q
     z = kappa(dp, q) * lattice_step(t, params)
     ratio = 1.0
@@ -196,7 +192,7 @@ def drag_velocity_iterative(
             break
         ratio *= (1.0 + zj) / (1.0 - zj)
         zj *= q
-    if n_steps is None and not abs(zj) <= UNIT_FACTOR_BOUND:
+    if not abs(zj) <= UNIT_FACTOR_BOUND:
         raise NonConvergentError(
             f"pure-drag iteration with z={z!r}, q={q!r} did not reach "
             f"|q^j z| <= 2^-54 within {policy.max_terms} factors"
@@ -271,7 +267,6 @@ def gravity_drag_velocity_iterative(
     dp: DragParams,
     t: float,
     params: DeformationParams,
-    n_steps: int | None = None,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> float:
     """Gravity-plus-drag velocity by backward recursion of the motion equation.
@@ -284,17 +279,14 @@ def gravity_drag_velocity_iterative(
     t_0 = t.  Nothing but the motion equation is assumed, so this validates
     both the closed form and the series resummation.
 
-    By default the value at t_N comes from the solution's power series in
-    x = t_N - w0 about the fixed point, sum c_n x^n, whose coefficients the
-    motion equation fixes: c_0 = v0, c_1 = g - 2 kappa v0 and
+    The value at t_N comes from the solution's power series in x = t_N - w0
+    about the fixed point, sum c_n x^n, whose coefficients the motion
+    equation fixes: c_0 = v0, c_1 = g - 2 kappa v0 and
     c_(n+1) = -kappa (1 + q^n) c_n / [n+1]_q.  N is the first depth with
     kappa |x| <= SERIES_START and |kappa u_N| <= q^3/2, where the series is
     short and its term ratio tends to |kappa u_N|.  Steps and series
     terms together count against policy.max_terms, and NonConvergentError
     is raised when they run out.
-
-    An explicit n_steps is the fixed depth N instead, starting from v = v0
-    at t_N, with no budget; it leaves an error of about c_1 q^N |t - w0|.
 
     Raises ZeroFactorError when a factor 1 - kappa u_j vanishes within
     tolerance; only the head of near points with |kappa u_j| >=
@@ -302,35 +294,30 @@ def gravity_drag_velocity_iterative(
     """
     q = params.q
     rate = kappa(dp, q)
-    if n_steps is not None:
-        _check_count(n_steps, "n_steps")
-        v = dp.v0
-    else:
-        # The largest |x| with kappa |x| <= SERIES_START and |kappa u_N| <= q^3/2.
-        start = min(SERIES_START, 0.5 * q**3 / (1.0 - q)) / rate
-        s = t - params.w0
-        n_steps = 0
-        if not abs(s) <= start:
-            # The first N with q^N |s| <= start; the whole budget, which makes
-            # the series below raise, where s is not finite or start is 0.
-            n_steps = policy.max_terms
-            if start > 0.0 and math.isfinite(s):
-                depth = (math.log(start) - math.log(abs(s))) / math.log(q)
-                n_steps = min(n_steps, math.ceil(depth))
-        v, _ = _sum_until_small(
-            _gravity_drag_series_terms(dp, rate, q, s * q**n_steps),
-            policy,
-            "gravity-drag iteration at t={!r}, q={!r}",
-            t,
-            q,
-            spent=n_steps,
-        )
+    # The largest |x| with kappa |x| <= SERIES_START and |kappa u_N| <= q^3/2.
+    start = min(SERIES_START, 0.5 * q**3 / (1.0 - q)) / rate
+    s = t - params.w0
+    depth = 0
+    if not abs(s) <= start:
+        # The first N with q^N |s| <= start; the whole budget, which makes
+        # the series below raise, where s is not finite or start is 0.
+        depth = policy.max_terms
+        if start > 0.0 and math.isfinite(s):
+            depth = min(depth, math.ceil((math.log(start) - math.log(abs(s))) / math.log(q)))
+    v, _ = _sum_until_small(
+        _gravity_drag_series_terms(dp, rate, q, s * q**depth),
+        policy,
+        "gravity-drag iteration at t={!r}, q={!r}",
+        t,
+        q,
+        spent=depth,
+    )
     g = dp.g
     u0 = lattice_step(t, params)
     head = 0
-    while head < n_steps and abs(rate * (u0 * q**head)) >= ZERO_FACTOR_HEAD:
+    while head < depth and abs(rate * (u0 * q**head)) >= ZERO_FACTOR_HEAD:
         head += 1
-    for j in range(n_steps - 1, head - 1, -1):
+    for j in range(depth - 1, head - 1, -1):
         uj = u0 * q**j
         drag = rate * uj
         v = (-g * uj + (1.0 + drag) * v) / (1.0 - drag)

@@ -270,7 +270,7 @@ def test_criterion_9_cli_contract():
     # drag route agreement (criterion 5) via sweeps over the same grid
     proc = cli(
         "sweep", "drag", "--sweep", "q=0.3:0.9:3", "--sweep", "w=0.01:0.1:2",
-        "--m", "1", "--k", "0.5", "--g", "9.8", "--v0", "0", "--iter-n", "150",
+        "--m", "1", "--k", "0.5", "--g", "9.8", "--v0", "0",
         "--t-start", "0.5", "--t-end", "1", "--samples", "2",
         "--routes", "closed,series,iterative",
     )
@@ -286,7 +286,7 @@ def test_criterion_9_cli_contract():
 
     proc = cli(
         "sweep", "drag", "--sweep", "q=0.3:0.9:3", "--sweep", "w=0.01:0.1:2",
-        "--m", "1", "--k", "0.5", "--g", "0", "--v0", "2", "--iter-n", "150",
+        "--m", "1", "--k", "0.5", "--g", "0", "--v0", "2",
         "--t-start", "0.5", "--t-end", "1", "--samples", "2",
         "--routes", "closed,iterative",
     )
@@ -295,10 +295,10 @@ def test_criterion_9_cli_contract():
     worst = max(worst, float(meta["agreement_closed_iterative"]))
     assert float(meta["agreement_closed_iterative"]) < 1e-6
 
-    # the stated pure-drag default N = 120 end-to-end, where it is valid
+    # the pure-drag default depth end-to-end
     proc = cli(
         "drag", "--q", "0.5", "--w", "0.1", "--m", "1", "--k", "0.5",
-        "--g", "0", "--v0", "2", "--iter-n", "120",
+        "--g", "0", "--v0", "2",
         "--t-start", "0", "--t-end", "3", "--samples", "4",
         "--routes", "closed,iterative",
     )

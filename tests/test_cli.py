@@ -232,23 +232,21 @@ def test_drag_classical_limit_fits_small_budget():
 
 def test_pure_drag_iteration_budget_flags_nonconvergent():
     # Near q = 1 the exact-stop product needs ~3500 factors, past a budget of
-    # 500 that the closed form fits in; an explicit --iter-n is not budgeted.
+    # 500 that the closed form fits in; a budget of 4000 fills every cell.
     args = [
         "drag", "--q", "0.99", "--w", "0.5", "--g", "0", "--v0", "1",
         "--t-start", "0", "--t-end", "2", "--samples", "5",
-        "--routes", "closed,iterative", "--max-terms", "500",
+        "--routes", "closed,iterative",
     ]
-    proc = run_cli(*args)
+    proc = run_cli(*args, "--max-terms", "500")
     assert proc.returncode == 3
-    meta, header, rows = parse_csv(proc.stdout)
-    assert meta["iter_n"] == "auto"
+    _, header, rows = parse_csv(proc.stdout)
     assert header == ["t", "closed", "iterative", "flag"]
     assert len(rows) == 5
     assert all(row[1] and not row[2] and row[3] == "nonconvergent" for row in rows)
-    proc = run_cli(*args, "--iter-n", "4000")
+    proc = run_cli(*args, "--max-terms", "4000")
     assert proc.returncode == 0
-    meta, _, rows = parse_csv(proc.stdout)
-    assert meta["iter_n"] == "4000"
+    _, _, rows = parse_csv(proc.stdout)
     assert all(row[2] and row[3] == "ok" for row in rows)
 
 
@@ -262,8 +260,7 @@ def test_gravity_iteration_budget_flags_nonconvergent():
     ]
     proc = run_cli(*args, "--max-terms", "500")
     assert proc.returncode == 3
-    meta, header, rows = parse_csv(proc.stdout)
-    assert meta["iter_n"] == "auto"
+    _, header, rows = parse_csv(proc.stdout)
     assert header == ["t", "iterative", "classical", "flag"]
     assert len(rows) == 5
     assert all(not row[1] and row[2] and row[3] == "nonconvergent" for row in rows)

@@ -62,6 +62,12 @@ def test_w_zero_allowed():
     assert params.w0 == 0.0
 
 
+def test_w0_past_the_double_range_rejected():
+    # w is finite, but w/(1-q) overflows to inf.
+    with pytest.raises(ValueError, match="w0"):
+        DeformationParams(q=0.5, w=1e308)
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         TruncationPolicy(tol=0.0)
@@ -119,6 +125,12 @@ def test_q_inv_factorial_base():
 def test_q_inv_factorial_oracle():
     # [2]_{1/q} = 1 + 2 = 3, also (1 - q^-2)/(1 - q^-1) = 3 at q = 0.5
     assert q_inv_factorial(2, 0.5) == pytest.approx(3.0, rel=1e-14)
+
+
+def test_q_inv_factorial_overflow_names_the_prefactor():
+    # 0.5^(-19900) is far past the double range.
+    with pytest.raises(OverflowError, match=r"q\^\(-19900\) exceeds double range"):
+        q_inv_factorial(200, 0.5)
 
 
 @given(

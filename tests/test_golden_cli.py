@@ -54,6 +54,13 @@ def test_golden_invocation(case):
         assert stdout == expected
 
 
+def test_golden_files_match_the_cases_one_to_one():
+    names = [case["name"] for case in CASES]
+    assert len(names) == len(set(names))
+    expected = {f"{case['name']}.out" for case in CASES if case["exit"] != EXIT_USAGE}
+    assert {path.name for path in GOLDEN.glob("*.out")} == expected
+
+
 def regenerate():
     for case in CASES:
         stdout, code = run(case["argv"])
