@@ -53,8 +53,6 @@ from .qexp import exp_q_series, exp_qinv_series, exp_qw, odd_part_qinv
 from .resist import (
     DragParams,
     classical_drag_velocity,
-    drag_velocity,
-    drag_velocity_iterative,
     gravity_drag_velocity,
     gravity_drag_velocity_iterative,
     gravity_drag_velocity_series,
@@ -122,8 +120,6 @@ __all__ = [
     "odd_part_qinv",
     "DragParams",
     "classical_drag_velocity",
-    "drag_velocity",
-    "drag_velocity_iterative",
     "gravity_drag_velocity",
     "gravity_drag_velocity_iterative",
     "gravity_drag_velocity_series",

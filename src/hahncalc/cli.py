@@ -4,9 +4,10 @@ Subcommands:
 
 * kinematics: constant-acceleration trajectories on the (q,w) lattice,
   one column per solver route plus the undeformed classical reference.
-* drag: resisted-fall velocities (pure drag when --g 0), closed, series,
-  iterative, and classical routes.  The iterative route stops by its own
-  rule (see resist), within the --max-terms budget.
+* drag: resisted-fall velocities, closed, series, iterative, and classical
+  routes.  Each route solves the one equation of motion for every --g;
+  --g 0 is pure drag.  The iterative route stops by its own rule (see
+  resist), within the --max-terms budget.
 * verify: run the randomized identity suite and print one line per
   identity with its worst residual and pass/fail status.
 * sweep: run kinematics or drag over swept q and/or w values in long
@@ -44,8 +45,6 @@ from .kinematics import (
 from .resist import (
     DragParams,
     classical_drag_velocity,
-    drag_velocity,
-    drag_velocity_iterative,
     gravity_drag_velocity,
     gravity_drag_velocity_iterative,
     gravity_drag_velocity_series,
@@ -320,20 +319,14 @@ def _drag_setup(
         parser.error(str(exc))
 
     def evaluators(params: DeformationParams) -> dict[str, Callable[[float], float]]:
-        # The iterative routes take policy by keyword: a positional fourth
-        # argument reads as a fixed depth to perfbench's drag_steps hook.
-        if dp.g == 0.0:
-            closed = lambda t: drag_velocity(dp, t, params, policy)
-            iterative = lambda t: drag_velocity_iterative(dp, t, params, policy=policy)
-        else:
-            closed = lambda t: gravity_drag_velocity(dp, t, params, policy)
-            iterative = lambda t: gravity_drag_velocity_iterative(
-                dp, t, params, policy=policy
-            )
         return {
-            "closed": closed,
+            "closed": lambda t: gravity_drag_velocity(dp, t, params, policy),
             "series": lambda t: gravity_drag_velocity_series(dp, t, params, policy),
-            "iterative": iterative,
+            # The iterative route takes policy by keyword: a positional fourth
+            # argument reads as a fixed depth to perfbench's drag_steps hook.
+            "iterative": lambda t: gravity_drag_velocity_iterative(
+                dp, t, params, policy=policy
+            ),
             "classical": lambda t: classical_drag_velocity(dp, t),
         }
 

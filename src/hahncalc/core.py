@@ -475,15 +475,21 @@ def qw_number(k: int, params: DeformationParams) -> float:
     return params.w * q_number(k, params.q)
 
 
+def _q_product_factors(a: float, q: float, n: int) -> Iterator[float]:
+    """The factors 1 - a q^j, j < n, of (a; q)_n, from a running power a q^j."""
+    scaled = a
+    for _ in range(n):
+        yield 1.0 - scaled
+        scaled *= q
+
+
 def q_factorial(n: int, q: float) -> float:
     """The q-factorial [n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
     _check_q(q)
     _check_count(n, "n")
     product = 1.0
-    qj = 1.0
-    for _ in range(n):
-        qj *= q
-        product *= (1.0 - qj) / (1.0 - q)
+    for factor in _q_product_factors(q, q, n):
+        product *= factor / (1.0 - q)
     return product
 
 
@@ -508,12 +514,7 @@ def q_shifted_factorial(a: float, q: float, N: int) -> float:
     """The finite q-shifted factorial (a; q)_N = (1-a)(1-qa)...(1-q^(N-1)a)."""
     _check_q(q)
     _check_count(N, "N")
-    product = 1.0
-    scaled = a
-    for _ in range(N):
-        product *= 1.0 - scaled
-        scaled *= q
-    return product
+    return math.prod(_q_product_factors(a, q, N), start=1.0)
 
 
 def _qpochhammer_inf(a: float, q: float, policy: TruncationPolicy) -> tuple[float, bool]:

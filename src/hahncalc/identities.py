@@ -2,9 +2,10 @@
 
 Each check_* function draws randomized cases at a fixed (q, w), evaluates
 both sides of one identity through independent code paths, and returns the
-largest absolute residual it saw.  run_suite runs every check over a
-(q, w) grid and reports one IdentityResult per identity; the CLI's verify
-subcommand is a thin wrapper around it.
+largest residual it saw: absolute, except where the exponential's size
+makes it relative (check_exp_eigenfunction).  run_suite runs every check
+over a (q, w) grid and reports one IdentityResult per identity; the CLI's
+verify subcommand is a thin wrapper around it.
 
 Sampling conventions shared by the checks: evaluation times are drawn
 uniformly from [-2, 2] but kept a fixed clearance away from the lattice
@@ -222,7 +223,12 @@ def check_exp_eigenfunction(
     rng: random.Random,
     cases: int,
 ) -> float:
-    """D_t e_{q,w}(at) = a e_{q,w}(at) at random pole-free (a, t)."""
+    """D_t e_{q,w}(at) = a e_{q,w}(at) at random pole-free (a, t).
+
+    The residual is relative to max(1, |a e_{q,w}(at)|): on the sampled
+    (a, t) the exponential reaches about 4e4 at q = 0.9, where an absolute
+    residual would judge rounding of the value itself.
+    """
     params = DeformationParams(q, w)
     worst = 0.0
     for _ in range(cases):
@@ -237,7 +243,7 @@ def check_exp_eigenfunction(
             raise RuntimeError("eigenfunction sampler could not avoid poles")
         lhs = hahn_derivative(lambda s: exp_qw(a, s, params), t, params)
         rhs = a * exp_qw(a, t, params)
-        worst = max(worst, abs(lhs - rhs))
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     return worst
 
 
@@ -280,7 +286,7 @@ _CHECKS: tuple[tuple[str, Callable[..., float], float], ...] = (
     ("lattice-polynomial-derivative", check_lattice_polynomial_derivative, 1e-10),
     ("q-number-sum", check_q_number_sum, 1e-12),
     ("weighted-q-number-sum", check_weighted_q_number_sum, 1e-12),
-    ("exp-eigenfunction", check_exp_eigenfunction, 1e-9),
+    ("exp-eigenfunction", check_exp_eigenfunction, 1e-10),
     ("exp-qinv-odd-part", check_odd_part, 1e-12),
     ("drag-kernel-resummation", check_kernel_resummation, 1e-10),
 )

@@ -1,21 +1,23 @@
 """Vertical motion in a resisting medium on the (q,w) lattice.
 
 The retarding force is proportional to the two-point average
-(v(t) + v(qt+w))/(1+q), so the equation of motion links neighbouring
-lattice points and can be solved three independent ways:
+(v(t) + v(qt+w))/(1+q), so the equation of motion
 
-* closed form in terms of the deformed exponentials (drag_velocity,
-  gravity_drag_velocity),
+    m D_t v = m g - k (v(t) + v(qt+w))/(1+q)
+
+links neighbouring lattice points and can be solved three independent ways,
+each for every g (g = 0 is pure drag):
+
+* closed form in terms of the deformed exponentials
+  (gravity_drag_velocity),
 * a power series with q^(n(2n+1)) weights for the gravity-driven part
   (gravity_drag_velocity_series),
-* backward recursion of the lattice equation of motion itself from a
-  boundary value near the fixed point (the *_iterative solvers), which
-  assumes nothing beyond the equation of motion and therefore serves as the
-  oracle for the other two.  The gravity-driven one starts from the
+* backward recursion of the lattice equation of motion itself from the
   solution's local power series about w0, whose coefficients follow from
-  the equation of motion alone.  Each iterative route has one stopping
-  rule, taken from error bounds, and counts its work against
-  TruncationPolicy.max_terms.
+  the equation of motion alone (gravity_drag_velocity_iterative).  It
+  assumes nothing beyond the equation of motion and therefore serves as
+  the oracle for the other two.  It has one stopping rule, taken from
+  error bounds, and counts its work against TruncationPolicy.max_terms.
 
 Conventions: downward is positive, so g > 0 accelerates the fall.  The
 drag strength enters through kappa = k/(m(1+q)).  Velocities are anchored
@@ -27,9 +29,10 @@ makes the fixed-point value exact.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
+from itertools import accumulate, count
 from typing import Iterator
 
 from .core import (
@@ -40,17 +43,16 @@ from .core import (
     TruncationPolicy,
     _check_count,
     _check_q,
+    _q_product_factors,
     _sum_until_small,
     lattice_step,
 )
-from .errors import NonConvergentError, ZeroFactorError
+from .errors import ZeroFactorError
 from .qexp import _exp_qinv_difference, _exp_qw_pm
 
 __all__ = [
     "DragParams",
     "kappa",
-    "drag_velocity",
-    "drag_velocity_iterative",
     "gravity_drag_velocity",
     "gravity_drag_velocity_series",
     "gravity_drag_velocity_iterative",
@@ -59,12 +61,6 @@ __all__ = [
     "gravity_kernel_resummed",
 ]
 
-
-# Where |x| <= 2^-54 both 1 + x and 1 - x round to exactly 1.0: 2^-54 is half
-# the spacing of doubles just below 1.0, and that tie rounds to even, to 1.0.
-# So a drag factor (1 + x)/(1 - x) there, and at every later and smaller
-# |q^j x|, leaves the running product unchanged.
-UNIT_FACTOR_BOUND = 2.0**-54
 
 # The gravity-driven iteration walks down the lattice to the first point t_N
 # whose distance x = t_N - w0 to the fixed point has kappa |x| <=
@@ -129,77 +125,6 @@ def _homogeneous_pair(
     return _exp_qw_pm(kappa(dp, params.q), t, params, policy)
 
 
-def drag_velocity(
-    dp: DragParams,
-    t: float,
-    params: DeformationParams,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> float:
-    """Pure-drag velocity, closed form: v0 e_{q,w}(-kappa t)/e_{q,w}(kappa t).
-
-    Satisfies m D_t v = -k (v(t) + v(qt+w))/(1+q) pointwise and returns v0
-    exactly at t = w0.  Raises PoleEncounteredError at the real poles of
-    the denominator exponential and propagates NonConvergentError.
-    """
-    e_minus, e_plus = _homogeneous_pair(dp, t, params, policy)
-    return dp.v0 * e_minus / e_plus
-
-
-def drag_velocity_iterative(
-    dp: DragParams,
-    t: float,
-    params: DeformationParams,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> float:
-    """Pure-drag velocity by iterating the equation of motion.
-
-    The lattice equation of motion propagates v between neighbouring points
-    with the ratio (1 + kappa u_j)/(1 - kappa u_j), u_j = q^j ((q-1)t + w).
-    Chaining these and approximating the far point's velocity by v0 (exact
-    in the limit, since the lattice contracts to the fixed point) gives the
-    product form
-
-        v(t) ~ v0 (-z; q)_N / (z; q)_N,   z = kappa ((q-1)t + w).
-
-    The product stops exactly: at the first j with |q^j z| <=
-    UNIT_FACTOR_BOUND (2^-54) every remaining factor is exactly 1.0/1.0, so
-    the result is bit-identical to the product at every deeper N.  Each
-    factor counts against policy.max_terms, and NonConvergentError is raised
-    when they run out first (q near 1 with a small budget).
-
-    This route never consults the deformed exponentials, so it is an
-    independent oracle for drag_velocity.  Raises ZeroFactorError when a
-    denominator factor vanishes within tolerance; only the head of factors
-    with |q^j z| >= ZERO_FACTOR_HEAD is tested, because no later one can.
-    """
-    limit = policy.max_terms
-    q = params.q
-    z = kappa(dp, q) * lattice_step(t, params)
-    ratio = 1.0
-    zj = z
-    j = 0
-    while j < limit and abs(zj) >= ZERO_FACTOR_HEAD:
-        denom = 1.0 - zj
-        if abs(denom) < ZERO_FACTOR_TOL:
-            raise ZeroFactorError(
-                f"denominator factor 1 - q^{j} z vanishes for z={z!r}, q={q!r}"
-            )
-        ratio *= (1.0 + zj) / denom
-        zj *= q
-        j += 1
-    for _ in range(limit - j):
-        if abs(zj) <= UNIT_FACTOR_BOUND:
-            break
-        ratio *= (1.0 + zj) / (1.0 - zj)
-        zj *= q
-    if not abs(zj) <= UNIT_FACTOR_BOUND:
-        raise NonConvergentError(
-            f"pure-drag iteration with z={z!r}, q={q!r} did not reach "
-            f"|q^j z| <= 2^-54 within {policy.max_terms} factors"
-        )
-    return dp.v0 * ratio
-
-
 def gravity_drag_velocity(
     dp: DragParams,
     t: float,
@@ -213,16 +138,19 @@ def gravity_drag_velocity(
              [e_{1/q}(X) - e_{1/q}(-X)],   X = kappa (t - w0).
 
     The odd bracket is a function of the distance to the lattice fixed
-    point, which is what pins v(w0) = v0 exactly; with g = 0 the bracket
-    term carries a zero coefficient and the pure-drag form remains.
-    Raises PoleEncounteredError at poles of the deformed exponentials and
-    propagates NonConvergentError.
+    point, which is what pins v(w0) = v0 exactly.  With g = 0 (pure drag)
+    the driven term is exactly zero and is not evaluated, leaving
+    v0 e_{q,w}(-kappa t)/e_{q,w}(kappa t).  Raises PoleEncounteredError at
+    poles of the deformed exponentials and propagates NonConvergentError.
     """
     e_minus, e_plus = _homogeneous_pair(dp, t, params, policy)
+    homogeneous = dp.v0 * e_minus / e_plus
+    if dp.g == 0.0:
+        return homogeneous
     x_arg = kappa(dp, params.q) * (t - params.w0)
     bracket = _exp_qinv_difference(x_arg, params.q, policy)
     coeff = (1.0 + params.q) * dp.m * dp.g / (2.0 * dp.k)
-    return dp.v0 * e_minus / e_plus + coeff * e_minus * bracket
+    return homogeneous + coeff * e_minus * bracket
 
 
 def gravity_drag_velocity_series(
@@ -242,10 +170,14 @@ def gravity_drag_velocity_series(
     using the term ratio q^(4n+3) X^2 / ([2n+2]_q [2n+3]_q) so no factorial
     is ever formed whole.  Agreement with gravity_drag_velocity within
     combined truncation error is the resummation check between the two ways
-    of writing the driven response.
+    of writing the driven response.  With g = 0 (pure drag) the driven part
+    is exactly zero and the series is not summed.
     """
     q = params.q
     e_minus, e_plus = _homogeneous_pair(dp, t, params, policy)
+    homogeneous = dp.v0 * e_minus / e_plus
+    if dp.g == 0.0:
+        return homogeneous
     x_arg = kappa(dp, q) * (t - params.w0)
     x_sq = x_arg * x_arg
 
@@ -260,7 +192,7 @@ def gravity_drag_velocity_series(
 
     odd_sum, _ = _sum_until_small(odd_terms(), policy, "odd drag series at t={!r}", t)
     driven = (1.0 + q) * dp.m * dp.g / dp.k * e_minus * odd_sum
-    return dp.v0 * e_minus / e_plus + driven
+    return homogeneous + driven
 
 
 def gravity_drag_velocity_iterative(
@@ -277,7 +209,9 @@ def gravity_drag_velocity_iterative(
 
     with u_j = q^j ((q-1)t + w).  It is unwound from a value at t_N back to
     t_0 = t.  Nothing but the motion equation is assumed, so this validates
-    both the closed form and the series resummation.
+    both the closed form and the series resummation, for every g: g = 0 is
+    pure drag, where the recursion is the product of the drag ratios
+    (1 + kappa u_j)/(1 - kappa u_j).
 
     The value at t_N comes from the solution's power series in x = t_N - w0
     about the fixed point, sum c_n x^n, whose coefficients the motion
@@ -367,15 +301,12 @@ def classical_drag_velocity(dp: DragParams, t: float) -> float:
 def _q_shifted_checked(a: float, q: float, count: int) -> float:
     """Finite product (a; q)_count with a ZeroFactorError on vanishing factors."""
     value = 1.0
-    scaled = a
-    for j in range(count):
-        factor = 1.0 - scaled
+    for j, factor in enumerate(_q_product_factors(a, q, count)):
         if abs(factor) < ZERO_FACTOR_TOL:
             raise ZeroFactorError(
                 f"factor 1 - q^{j} a vanishes for a={a!r}, q={q!r}"
             )
         value *= factor
-        scaled *= q
     return value
 
 
@@ -393,17 +324,16 @@ def gravity_kernel_iteration_sum(z: float, q: float, n_steps: int) -> float:
     qj = 1.0
     num = 1.0  # (-z; q)_j
     den = 1.0  # (z; q)_j
-    zj = z  # q^j z
-    for j in range(n_steps):
-        factor = 1.0 - zj
+    for j, (factor, num_factor) in enumerate(
+        zip(_q_product_factors(z, q, n_steps), _q_product_factors(-z, q, n_steps))
+    ):
         if abs(factor) < ZERO_FACTOR_TOL:
             raise ZeroFactorError(
                 f"denominator factor 1 - q^{j} z vanishes for z={z!r}, q={q!r}"
             )
         den *= factor
         total.append(qj * num / den)
-        num *= 1.0 + zj
-        zj *= q
+        num *= num_factor
         qj *= q
     return math.fsum(total)
 
@@ -423,14 +353,8 @@ def gravity_kernel_resummed(z: float, q: float, n_steps: int) -> float:
     _check_q(q)
     _check_count(n_steps, "n_steps")
     den = _q_shifted_checked(z, q, n_steps)
-    # Gaussian binomials via the (q; q) factorials, built incrementally.
-    qq = [1.0]
-    acc = 1.0
-    scaled = q
-    for _ in range(n_steps):
-        acc *= 1.0 - scaled
-        scaled *= q
-        qq.append(acc)
+    # Gaussian binomials via the (q; q)_j prefixes, built incrementally.
+    qq = [1.0, *accumulate(_q_product_factors(q, q, n_steps), operator.mul)]
     terms: list[float] = []
     z_even = 1.0
     for n in range((n_steps + 1) // 2):

@@ -21,8 +21,6 @@ from hahncalc import (
     KinematicState,
     accel_quotient_velocity,
     classical_drag_velocity,
-    drag_velocity,
-    drag_velocity_iterative,
     exp_qw,
     gravity_drag_velocity,
     gravity_drag_velocity_iterative,
@@ -135,12 +133,11 @@ def test_criterion_5_drag_three_route_agreement():
     worst = 0.0
     for q, w in itertools.product(Q_GRID, (0.01, 0.1)):
         params = DeformationParams(q=q, w=w)
-        # Both iterations run at their default depth: the pure-drag one
-        # stops where the remaining factors are exactly 1, the driven one
-        # starts from the power series about w0.
+        # Pure drag is the gravity routes at g = 0.  The iteration runs at
+        # its default depth, from the power series about w0.
         for t in (0.5, 1.0):
-            closed = drag_velocity(pure, t, params)
-            iterated = drag_velocity_iterative(pure, t, params)
+            closed = gravity_drag_velocity(pure, t, params)
+            iterated = gravity_drag_velocity_iterative(pure, t, params)
             worst = max(worst, abs(closed - iterated))
             g_closed = gravity_drag_velocity(grav, t, params)
             g_series = gravity_drag_velocity_series(grav, t, params)
@@ -195,7 +192,7 @@ def test_criterion_8_classical_limits():
         kin_errors.append(
             abs(uniform_accel_position(state, t_kin, params.q) - newton)
         )
-        pure_errors.append(abs(drag_velocity(pure, t_drag, params) - pure_limit))
+        pure_errors.append(abs(gravity_drag_velocity(pure, t_drag, params) - pure_limit))
         grav_errors.append(
             abs(gravity_drag_velocity(grav, t_drag, params) - grav_limit)
         )
@@ -295,7 +292,7 @@ def test_criterion_9_cli_contract():
     worst = max(worst, float(meta["agreement_closed_iterative"]))
     assert float(meta["agreement_closed_iterative"]) < 1e-6
 
-    # the pure-drag default depth end-to-end
+    # pure drag (g = 0) at the default depth, end to end
     proc = cli(
         "drag", "--q", "0.5", "--w", "0.1", "--m", "1", "--k", "0.5",
         "--g", "0", "--v0", "2",

@@ -11,8 +11,9 @@ After a deliberate change of output, see what moved with
     PYTHONPATH=src python tests/test_golden_cli.py --diff
 
 which writes nothing and reports, per golden file, the lines changed, the
-numeric table cells moved, the worst relative move and whether only
-metadata moved; then regenerate the files with
+numeric table cells moved, the worst relative move, and the columns whose
+cells moved or, when none did, the metadata keys that moved; then regenerate
+the files with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -119,7 +120,9 @@ def diff_report(old, new):
         line += f", worst relative move {worst:.2g}"
     if len(numeric) < len(cells):
         line += f", {len(cells) - len(numeric)} other cells changed"
-    if not cells:
+    if cells:
+        line += ", in " + ",".join(sorted({key[0] for key in cells}))
+    else:
         names = sorted(key[1] for key in moved)
         line += ", metadata only: " + ",".join(names)
     return line

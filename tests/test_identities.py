@@ -32,6 +32,14 @@ def test_suite_passes_at_default_tolerances():
         assert result.cases >= 200
 
 
+@pytest.mark.parametrize("seed", range(1, 8))
+def test_suite_passes_on_further_seeds(seed):
+    # Seeds 4 and 6 draw e_{q,w}(at) near 4e4, where the eigenfunction
+    # residual must be judged relative to the value.
+    for result in run_suite(seed=seed):
+        assert result.passed, f"{result.name}: {result.max_residual:.3e}"
+
+
 def test_suite_is_deterministic():
     first = run_suite(seed=42)
     second = run_suite(seed=42)

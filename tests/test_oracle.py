@@ -7,6 +7,7 @@ forms.  Errors are measured on the scale |value - ref| / max(1, |ref|).
 Skipped when mpmath is not installed.
 """
 
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,6 @@ import pytest
 from hahncalc import (
     DeformationParams,
     DragParams,
-    drag_velocity_iterative,
     exp_qw,
     gravity_drag_velocity,
     gravity_drag_velocity_iterative,
@@ -31,7 +31,6 @@ BOUND = 1e-12
 Q_GRID = [0.3, 0.9, 0.99, 0.999]
 LATTICE_Q_GRID = [0.5, 0.9, 0.99, 0.999]
 DRAG = DragParams(m=1.0, k=0.5, g=9.8, v0=1.0)
-PURE_DRAG = DragParams(m=1.0, k=0.5, g=0.0, v0=1.0)
 
 
 def ref_qpoch(x, q):
@@ -139,39 +138,18 @@ def test_drag_routes_against_oracle(route, q):
     assert worst < BOUND
 
 
-# At q = 0.999 the pure-drag product runs to about 35 000 factors, and at
-# w = 0.5 its value is about e^250.  The rounding of its factors, biased where
-# q^j z moves by less than an ulp of 1 per step, then reaches 1.3e-12 (the
-# drift of the running power q^j z is 2.6e-13 of it, the rounding of z 1.1e-14).
-# The exact stop returns what the full product gives, and cannot do better.
-PURE_DRAG_BOUND = {0.3: BOUND, 0.9: BOUND, 0.99: BOUND, 0.999: 2e-12}
-
-
-@pytest.mark.parametrize("q", Q_GRID)
-def test_pure_drag_iteration_at_default_depth_against_oracle(q):
-    # The default product stops where its factors are exactly 1.  A fixed
-    # depth of 120 leaves a boundary error of order q^120 and fails this at
-    # q >= 0.9 (8e-6 at q = 0.9, about 1 beyond).
-    worst = 0.0
-    for w in (0.0, 0.5):
-        params = DeformationParams(q=q, w=w)
-        for t in (0.1, 0.7, 1.3, 1.9):
-            value = drag_velocity_iterative(PURE_DRAG, t, params)
-            worst = max(worst, rel_err(value, ref_drag(PURE_DRAG, t, q, w)))
-    assert worst < PURE_DRAG_BOUND[q]
-
-
 @pytest.mark.parametrize("q", Q_GRID)
 def test_gravity_iteration_at_default_depth_against_oracle(q):
     # The default walk starts from the power series about w0.  The old fixed
     # depth of 150 leaves a boundary error of order q^150 |t - w0|: about 1
     # relative at q = 0.99.  At t = 40, far past w0, the series' terms
-    # alternate in sign, and starting it too far out loses digits.
+    # alternate in sign, and starting it too far out loses digits.  g = 0 is
+    # pure drag, where the value at w = 0.5 reaches about e^250 at q = 0.999.
     worst = 0.0
-    for w in (0.0, 0.1, 1.0):
+    for w in (0.0, 0.1, 0.5, 1.0):
         params = DeformationParams(q=q, w=w)
-        for v0 in (0.0, 1.0):
-            dp = DragParams(m=1.0, k=0.5, g=9.8, v0=v0)
+        for g, v0 in itertools.product((0.0, 9.8), (0.0, 1.0)):
+            dp = DragParams(m=1.0, k=0.5, g=g, v0=v0)
             for t in (0.1, 0.7, 1.3, 1.9, 40.0):
                 value = gravity_drag_velocity_iterative(dp, t, params)
                 worst = max(worst, rel_err(value, ref_drag(dp, t, q, w)))

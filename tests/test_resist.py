@@ -9,15 +9,12 @@ from hypothesis import strategies as st
 
 from hahncalc import resist
 from hahncalc import (
-    ZERO_FACTOR_TOL,
     DeformationParams,
     DragParams,
     NonConvergentError,
     TruncationPolicy,
     ZeroFactorError,
     classical_drag_velocity,
-    drag_velocity,
-    drag_velocity_iterative,
     exp_qw,
     gravity_drag_velocity,
     gravity_drag_velocity_iterative,
@@ -63,29 +60,29 @@ def test_kappa_oracle():
 
 
 # ---------------------------------------------------------------------------
-# pure drag
+# pure drag: the gravity routes at g = 0
 
 
 def test_drag_fixed_point_datum():
-    assert drag_velocity(PURE, P.w0, P) == pytest.approx(PURE.v0, abs=1e-14)
+    assert gravity_drag_velocity(PURE, P.w0, P) == pytest.approx(PURE.v0, abs=1e-14)
 
 
 def test_drag_zero_velocity_solution():
     dp = DragParams(m=1.0, k=0.5, g=0.0, v0=0.0)
     for t in (0.0, 1.0, 3.0):
-        assert drag_velocity(dp, t, P) == 0.0
+        assert gravity_drag_velocity(dp, t, P) == 0.0
 
 
 def test_drag_classical_limit():
     params = DeformationParams(q=1 - 1e-3, w=1e-6)
-    value = drag_velocity(PURE, 1.0, params)
+    value = gravity_drag_velocity(PURE, 1.0, params)
     assert value == pytest.approx(2 * math.exp(-0.5), abs=5e-3)
 
 
 @pytest.mark.parametrize("t", [0.0, 1.0, 3.0])
 def test_drag_iterative_matches_closed(t):
-    closed = drag_velocity(PURE, t, P)
-    iterated = drag_velocity_iterative(PURE, t, P)
+    closed = gravity_drag_velocity(PURE, t, P)
+    iterated = gravity_drag_velocity_iterative(PURE, t, P)
     assert iterated == pytest.approx(closed, abs=1e-8)
 
 
@@ -96,7 +93,7 @@ def test_drag_equation_of_motion_residual():
         t = -1.5 + 5.0 * i / 19.0
 
         def v(s):
-            return drag_velocity(PURE, s, P)
+            return gravity_drag_velocity(PURE, s, P)
 
         residual = PURE.m * hahn_derivative(v, t, P) + PURE.k * (
             v(t) + v(P.q * t + P.w)
@@ -109,17 +106,20 @@ def test_drag_equation_of_motion_residual():
 
 
 def test_gravity_reduces_to_pure_drag():
+    # At g = 0 the closed and series routes are the homogeneous ratio
+    # v0 e(-kappa t)/e(kappa t), bit for bit, and the recursion is the product
+    # of the drag ratios, v0 (-z; q)_N/(z; q)_N with z = kappa ((q-1)t + w).
     dp = DragParams(m=1.0, k=0.5, g=0.0, v0=2.0)
+    rate = kappa(dp, P.q)
     for t in (0.0, 0.7, 2.0):
-        assert gravity_drag_velocity(dp, t, P) == pytest.approx(
-            drag_velocity(dp, t, P), abs=1e-14
+        pure = dp.v0 * exp_qw(-rate, t, P) / exp_qw(rate, t, P)
+        assert gravity_drag_velocity(dp, t, P) == pure
+        assert gravity_drag_velocity_series(dp, t, P) == pure
+        z = rate * lattice_step(t, P)
+        product = dp.v0 * math.prod(
+            (1.0 + z * P.q**j) / (1.0 - z * P.q**j) for j in range(100)
         )
-        assert gravity_drag_velocity_series(dp, t, P) == pytest.approx(
-            drag_velocity(dp, t, P), abs=1e-14
-        )
-        assert gravity_drag_velocity_iterative(dp, t, P) == pytest.approx(
-            drag_velocity_iterative(dp, t, P), abs=1e-14
-        )
+        assert gravity_drag_velocity_iterative(dp, t, P) == pytest.approx(product, abs=1e-14)
 
 
 def test_gravity_fixed_point_datum():
@@ -254,7 +254,7 @@ def test_classical_limits_shrink_along_eps():
     for eps in (1e-1, 1e-2, 1e-3):
         params = DeformationParams(q=1 - eps, w=eps * eps)
         drag_errors.append(
-            abs(drag_velocity(PURE, 1.0, params) - 2 * math.exp(-0.5))
+            abs(gravity_drag_velocity(PURE, 1.0, params) - 2 * math.exp(-0.5))
         )
         grav_errors.append(
             abs(
@@ -352,7 +352,7 @@ def test_closed_form_past_the_double_range_is_zero_not_a_crash():
     dp = DragParams(m=1.0, k=0.5, g=0.0, v0=1.0)
     params = DeformationParams(q=0.999, w=0.0)
     assert exp_qw(kappa(dp, params.q), 3600.0, params) == math.inf
-    assert drag_velocity(dp, 3600.0, params) == 0.0
+    assert gravity_drag_velocity(dp, 3600.0, params) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +379,7 @@ def pair_calls(monkeypatch):
 def test_closed_and_series_share_the_homogeneous_factor(g, pair_calls):
     dp = DragParams(m=1.0, k=0.5, g=g, v0=1.0)
     params = DeformationParams(q=0.99, w=0.5)
-    closed = drag_velocity if g == 0.0 else gravity_drag_velocity
-    closed(dp, 0.7, params)
+    gravity_drag_velocity(dp, 0.7, params)
     gravity_drag_velocity_series(dp, 0.7, params)
     assert len(pair_calls) == 1
 
@@ -406,72 +405,13 @@ def test_homogeneous_factor_recomputed_for_other_arguments(pair_calls):
 
 
 # ---------------------------------------------------------------------------
-# exact stop of the pure-drag product, head-only zero-factor tests
-
-UNIT = DragParams(m=1.0, k=0.5, g=0.0, v0=1.0)
+# head-only zero-factor tests
 
 
 def grid(start, stop, count):
     """Inclusive uniform grid with the endpoints hit exactly, as the CLI builds it."""
     step = (stop - start) / (count - 1)
     return [start + i * step for i in range(count - 1)] + [stop]
-
-
-def exact_stop_depth(dp, t, params):
-    """Factors the default pure-drag product multiplies: up to |q^j z| <= 2^-54."""
-    zj = kappa(dp, params.q) * lattice_step(t, params)
-    depth = 0
-    while abs(zj) > resist.UNIT_FACTOR_BOUND:
-        zj *= params.q
-        depth += 1
-    return depth
-
-
-def test_default_depth_is_bit_identical_to_fixed_120_on_the_bulk_grid():
-    # The drag-bulk benchmark grid (q <= 0.5) at v0 = 1, where the product shows.
-    for q in grid(0.05, 0.5, 40):
-        for w in grid(0.0, 1.0, 10):
-            params = DeformationParams(q=q, w=w)
-            ts = grid(0.0, 2.0, 50)
-            default = [drag_velocity_iterative(UNIT, t, params) for t in ts]
-            assert default == [first_written_pure(UNIT, t, params, 120) for t in ts]
-
-
-@pytest.mark.parametrize("q", [0.9, 0.99])
-def test_default_depth_is_bit_identical_to_deeper_fixed_depths(q):
-    for w in (0.0, 0.5):
-        params = DeformationParams(q=q, w=w)
-        for t in (0.1, 0.7, 1.3, 1.9):
-            depth = exact_stop_depth(UNIT, t, params)
-            value = drag_velocity_iterative(UNIT, t, params)
-            assert value == first_written_pure(UNIT, t, params, depth)
-            assert value == first_written_pure(UNIT, t, params, depth + 50)
-
-
-@pytest.mark.parametrize("t", [1.3, -40.0])  # |z| < 1/2, and a head with |z| > 1
-def test_default_depth_counts_every_factor_against_max_terms(t):
-    params = DeformationParams(q=0.9, w=0.5)
-    depth = exact_stop_depth(UNIT, t, params)
-    just_enough = TruncationPolicy(max_terms=depth)
-    value = drag_velocity_iterative(UNIT, t, params, policy=just_enough)
-    assert value == first_written_pure(UNIT, t, params, depth)
-    for budget in (1, depth - 1):
-        with pytest.raises(NonConvergentError, match="pure-drag iteration"):
-            drag_velocity_iterative(UNIT, t, params, policy=TruncationPolicy(max_terms=budget))
-
-
-def first_written_pure(dp, t, params, n_steps):
-    """The pure-drag loop as first written: every factor tested."""
-    q = params.q
-    z = kappa(dp, q) * lattice_step(t, params)
-    ratio, zj = 1.0, z
-    for j in range(n_steps):
-        denom = 1.0 - zj
-        if abs(denom) < ZERO_FACTOR_TOL:
-            raise ZeroFactorError(f"q^{j} z")
-        ratio *= (1.0 + zj) / denom
-        zj *= q
-    return dp.v0 * ratio
 
 
 def outcome(evaluate, *args):
@@ -487,21 +427,19 @@ def outcome(evaluate, *args):
 def test_head_only_zero_factor_tests_change_nothing(q, w, monkeypatch):
     # Times spread over both signs of z and |z| up to about 5, plus the poles
     # t_k where kappa u_k = 1 exactly for k < 4 (a vanishing factor at index k).
-    # With a head bound of 0 every factor is tested, and the pure-drag head
-    # then runs to the budget: 1000 covers every exact stop here.
+    # With a head bound of 0 every factor of the walk is tested.  Pure drag
+    # (g = 0) and gravity share the route and its poles.
     params = DeformationParams(q=q, w=w)
-    policy = TruncationPolicy(max_terms=1000)
     rate = kappa(PURE, q)
     poles = [(w - 1.0 / (rate * q**k)) / (1.0 - q) for k in range(4)]
     times = grid(-60.0, 60.0, 41) + poles
-    for dp, route in (
-        (PURE, drag_velocity_iterative),
-        (GRAV, gravity_drag_velocity_iterative),
-    ):
-        head_only = [outcome(route, dp, t, params, policy) for t in times]
+    for dp in (PURE, GRAV):
+        head_only = [outcome(gravity_drag_velocity_iterative, dp, t, params) for t in times]
         with monkeypatch.context() as patched:
             patched.setattr(resist, "ZERO_FACTOR_HEAD", 0.0)
-            every_factor = [outcome(route, dp, t, params, policy) for t in times]
+            every_factor = [
+                outcome(gravity_drag_velocity_iterative, dp, t, params) for t in times
+            ]
         for got, expected in zip(head_only, every_factor):
             assert got == expected or (math.isnan(got) and math.isnan(expected))
         assert sum(isinstance(got, str) for got in head_only) >= 4
