@@ -12,7 +12,6 @@ from .core import (
     CENTRAL_DIFF_STEP,
     CONSECUTIVE_SMALL,
     DEFAULT_POLICY,
-    W0_BRANCH_RTOL,
     ZERO_FACTOR_TOL,
     DeformationParams,
     ScalarFunction,
@@ -80,7 +79,6 @@ __all__ = [
     "CENTRAL_DIFF_STEP",
     "CONSECUTIVE_SMALL",
     "DEFAULT_POLICY",
-    "W0_BRANCH_RTOL",
     "ZERO_FACTOR_TOL",
     "DeformationParams",
     "ScalarFunction",

@@ -73,9 +73,6 @@ __all__ = [
 # A scalar map t -> f(t); must be deterministic and total on the caller's domain.
 ScalarFunction = Callable[[float], float]
 
-# Relative threshold deciding when t is treated as the fixed point w0.
-W0_BRANCH_RTOL = 1e-12
-
 # Step scale for the O(h^2) central difference hahn_derivative takes where
 # the lattice step is at most CENTRAL_DIFF_STEP (1 + |w0|).
 CENTRAL_DIFF_STEP = 1e-6

@@ -8,7 +8,8 @@ constant-acceleration trajectory are provided:
 * a generic fixed-point iteration that telescopes the defining first-order
   difference equation down the lattice (iterate_first_order),
 * a second-order pipeline that substitutes h(t) = x(qt+w) - q x(t), solves
-  the resulting first-order equation for h, and reconstructs x
+  the resulting first-order equation for the increment h(t) - h(w0), and
+  reconstructs x from it with no division by a power of t - w0
   (solve_second_order_constant_accel).
 
 All three agree within truncation error; the iteration is deliberately
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 
 from .core import (
     DEFAULT_POLICY,
-    W0_BRANCH_RTOL,
     DeformationParams,
     ScalarFunction,
     TruncationPolicy,
@@ -190,29 +190,23 @@ def solve_second_order_constant_accel(
     The substitution h(t) = x(qt+w) - q x(t) turns the second-order lattice
     equation with constant right-hand side a into a first-order equation
     for h whose own right-hand side is q a ((q-1)s + w).  Stage 1 solves
-    that equation by lattice telescoping from h(w0) = (1-q) x(w0).  Stage 2
-    inverts the substitution: for a trajectory of the form
-    x(w0) + C (t-w0) + g (t-w0)^2 the substitution maps the linear part to
-    a constant and scales the quadratic coefficient by q^2 - q, so
+    that equation by lattice telescoping, for the increment
+    h(t) - h(w0) alone.  Stage 2 inverts the substitution: for a trajectory
+    of the form x(w0) + C s + g s^2, s = t - w0, the substitution maps the
+    linear part to a constant and scales the quadratic one by q^2 - q, so
 
-        g = (h(t) - h(w0)) / ((q^2 - q) (t - w0)^2),
+        g s^2 = (h(t) - h(w0)) / (q^2 - q),
         C = v0 + 2 a w0 / (1+q),
 
-    and x(t) = x(w0) + C (t-w0) + g (t-w0)^2.  Near the fixed point the
-    quadratic extraction is 0/0; there the linear part alone is returned,
-    which is exact to second order in (t - w0).
+    and x(t) = x(w0) + C s + (h(t) - h(w0))/(q^2 - q).  No quotient by a
+    power of s is taken, so there is no 0/0 at the fixed point.
     """
     q = params.q
-    w0 = params.w0
-    x_w0 = position_at_fixed_point(state, params)
-    slope = state.v0 + 2.0 * state.a * w0 / (1.0 + q)
-    if abs(t - w0) <= W0_BRANCH_RTOL * (1.0 + abs(w0)):
-        return x_w0 + slope * (t - w0)
+    s = t - params.w0
+    slope = state.v0 + 2.0 * state.a * params.w0 / (1.0 + q)
 
-    def rhs_h(s: float) -> float:
-        return q * state.a * lattice_step(s, params)
+    def rhs_h(u: float) -> float:
+        return q * state.a * lattice_step(u, params)
 
-    h_w0 = (1.0 - q) * x_w0
-    h_t = iterate_first_order(rhs_h, t, params, h_w0, policy).value
-    quad = (h_t - h_w0) / ((q * q - q) * (t - w0) ** 2)
-    return x_w0 + slope * (t - w0) + quad * (t - w0) ** 2
+    delta_h = iterate_first_order(rhs_h, t, params, 0.0, policy).value
+    return position_at_fixed_point(state, params) + slope * s + delta_h / (q * q - q)

@@ -17,6 +17,10 @@ All three reduce to exp as (q, w) -> (1, 0).
 The drag routes need e_{q,w} and e_{1/q} at a and at -a together.
 _exp_qw_pm and _exp_qinv_difference evaluate such a pair in one pass, bit
 for bit what the two separate calls give.
+
+Each side of the odd-part identity e_{1/q}(x) - e_{1/q}(-x) =
+2 sum_n q^(n(2n+1)) x^(2n+1)/[2n+1]_q! is written once: the left is
+_exp_qinv_difference, the right _exp_qinv_odd_part.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .core import (
     _sum_until_small,
     _terms_until_small,
     lattice_step,
-    q_factorial,
 )
 from .errors import OutOfRadiusError, PoleEncounteredError
 
@@ -166,6 +169,27 @@ def _exp_qinv_difference(x: float, q: float, policy: TruncationPolicy) -> float:
     return math.fsum(terms) - _alternating_fsum(terms)
 
 
+def _exp_qinv_odd_part(x: float, q: float, policy: TruncationPolicy) -> float:
+    """2 sum_{n>=0} q^(n(2n+1)) x^(2n+1) / [2n+1]_q!, the odd part of e_{1/q}.
+
+    The terms come from the ratio q^(4n+3) x^2 / ([2n+2]_q [2n+3]_q), so no
+    factorial or power of x is ever formed whole; the stopping rule sees the
+    undoubled terms, and the exact doubling comes last.
+    """
+    x_sq = x * x
+
+    def terms() -> Iterator[float]:
+        term = x  # n = 0 term: q^0 x / [1]_q!
+        for n in count():
+            yield term
+            term *= q ** (4 * n + 3) * x_sq / (
+                (1.0 - q ** (2 * n + 2)) / (1.0 - q)
+                * ((1.0 - q ** (2 * n + 3)) / (1.0 - q))
+            )
+
+    return 2.0 * _sum_until_small(terms(), policy, "odd e_(1/q) series at x={!r}", x)[0]
+
+
 def odd_part_qinv(
     a: float, q: float, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> tuple[float, float]:
@@ -178,20 +202,9 @@ def odd_part_qinv(
 
     The left side sums the full series at a and at -a (one term list, see
     _exp_qinv_difference) and lets the even terms cancel; the right side
-    sums only the odd terms directly, each computed from the bounded rewrite
-    q^(n(2n+1)) a^(2n+1)/[2n+1]_q!.  The two summation paths share no
-    intermediate state, so their agreement is a genuine check.
+    sums only the odd terms directly, in the bounded rewrite
+    q^(n(2n+1)) a^(2n+1)/[2n+1]_q! (_exp_qinv_odd_part).  The two summation
+    paths share no intermediate state, so their agreement is a genuine check.
     """
     _check_q(q)
-    lhs = _exp_qinv_difference(a, q, policy)
-
-    def odd_terms() -> Iterator[float]:
-        for n in count():
-            m = 2 * n + 1
-            # n*m = m(m-1)/2: the damping exponent of the 1/q-factorial rewrite.
-            yield 2.0 * q ** (n * m) * a**m / q_factorial(m, q)
-
-    rhs, _ = _sum_until_small(
-        odd_terms(), policy, "odd-part series at a={!r}, q={!r}", a, q
-    )
-    return lhs, rhs
+    return _exp_qinv_difference(a, q, policy), _exp_qinv_odd_part(a, q, policy)

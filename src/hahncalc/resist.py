@@ -11,7 +11,8 @@ each for every g (g = 0 is pure drag):
 * closed form in terms of the deformed exponentials
   (gravity_drag_velocity),
 * a power series with q^(n(2n+1)) weights for the gravity-driven part
-  (gravity_drag_velocity_series),
+  (gravity_drag_velocity_series): the closed form's body, _gravity_drag,
+  fed the other side of the odd-part identity of e_{1/q} (see qexp),
 * backward recursion of the lattice equation of motion itself from the
   solution's local power series about w0, whose coefficients follow from
   the equation of motion alone (gravity_drag_velocity_iterative).  It
@@ -32,8 +33,8 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, count
-from typing import Iterator
+from itertools import accumulate
+from typing import Callable, Iterator
 
 from .core import (
     DEFAULT_POLICY,
@@ -48,7 +49,7 @@ from .core import (
     lattice_step,
 )
 from .errors import ZeroFactorError
-from .qexp import _exp_qinv_difference, _exp_qw_pm
+from .qexp import _exp_qinv_difference, _exp_qinv_odd_part, _exp_qw_pm
 
 __all__ = [
     "DragParams",
@@ -125,6 +126,28 @@ def _homogeneous_pair(
     return _exp_qw_pm(kappa(dp, params.q), t, params, policy)
 
 
+def _gravity_drag(
+    dp: DragParams,
+    t: float,
+    params: DeformationParams,
+    policy: TruncationPolicy,
+    bracket: Callable[[float, float, TruncationPolicy], float],
+) -> float:
+    """v0 e_{q,w}(-kappa t)/e_{q,w}(kappa t) + ((1+q) m g/(2k)) e_{q,w}(-kappa t) B(X).
+
+    B is one side of the odd-part identity of e_{1/q}, called as
+    bracket(X, q, policy) at X = kappa (t - w0); with g = 0 (pure drag) the
+    driven term is exactly zero and B is not evaluated.
+    """
+    e_minus, e_plus = _homogeneous_pair(dp, t, params, policy)
+    homogeneous = dp.v0 * e_minus / e_plus
+    if dp.g == 0.0:
+        return homogeneous
+    x_arg = kappa(dp, params.q) * (t - params.w0)
+    coeff = (1.0 + params.q) * dp.m * dp.g / (2.0 * dp.k)
+    return homogeneous + coeff * e_minus * bracket(x_arg, params.q, policy)
+
+
 def gravity_drag_velocity(
     dp: DragParams,
     t: float,
@@ -143,14 +166,7 @@ def gravity_drag_velocity(
     v0 e_{q,w}(-kappa t)/e_{q,w}(kappa t).  Raises PoleEncounteredError at
     poles of the deformed exponentials and propagates NonConvergentError.
     """
-    e_minus, e_plus = _homogeneous_pair(dp, t, params, policy)
-    homogeneous = dp.v0 * e_minus / e_plus
-    if dp.g == 0.0:
-        return homogeneous
-    x_arg = kappa(dp, params.q) * (t - params.w0)
-    bracket = _exp_qinv_difference(x_arg, params.q, policy)
-    coeff = (1.0 + params.q) * dp.m * dp.g / (2.0 * dp.k)
-    return homogeneous + coeff * e_minus * bracket
+    return _gravity_drag(dp, t, params, policy, _exp_qinv_difference)
 
 
 def gravity_drag_velocity_series(
@@ -161,38 +177,14 @@ def gravity_drag_velocity_series(
 ) -> float:
     """Gravity-plus-drag velocity with the driven part as an explicit odd series.
 
-    The homogeneous part is the same exponential ratio as the closed form;
-    the gravity-driven part is summed directly as
-
-        ((1+q) m g / k) e_{q,w}(-kappa t)
-            sum_{n>=0} q^(n(2n+1)) X^(2n+1) / [2n+1]_q!,   X = kappa (t - w0),
-
-    using the term ratio q^(4n+3) X^2 / ([2n+2]_q [2n+3]_q) so no factorial
-    is ever formed whole.  Agreement with gravity_drag_velocity within
-    combined truncation error is the resummation check between the two ways
-    of writing the driven response.  With g = 0 (pure drag) the driven part
-    is exactly zero and the series is not summed.
+    The closed form with its bracket replaced by the other side of the
+    odd-part identity, 2 sum_{n>=0} q^(n(2n+1)) X^(2n+1) / [2n+1]_q!,
+    summed term by term (qexp._exp_qinv_odd_part); at g = 0 it is not
+    summed.  Agreement with gravity_drag_velocity within combined truncation
+    error is the resummation check between the two ways of writing the
+    driven response.
     """
-    q = params.q
-    e_minus, e_plus = _homogeneous_pair(dp, t, params, policy)
-    homogeneous = dp.v0 * e_minus / e_plus
-    if dp.g == 0.0:
-        return homogeneous
-    x_arg = kappa(dp, q) * (t - params.w0)
-    x_sq = x_arg * x_arg
-
-    def odd_terms() -> Iterator[float]:
-        term = x_arg  # n = 0 term: q^0 X / [1]_q!
-        for n in count():
-            yield term
-            term *= q ** (4 * n + 3) * x_sq / (
-                (1.0 - q ** (2 * n + 2)) / (1.0 - q)
-                * ((1.0 - q ** (2 * n + 3)) / (1.0 - q))
-            )
-
-    odd_sum, _ = _sum_until_small(odd_terms(), policy, "odd drag series at t={!r}", t)
-    driven = (1.0 + q) * dp.m * dp.g / dp.k * e_minus * odd_sum
-    return homogeneous + driven
+    return _gravity_drag(dp, t, params, policy, _exp_qinv_odd_part)
 
 
 def gravity_drag_velocity_iterative(

@@ -186,27 +186,40 @@ def test_criterion_8_classical_limits():
     newton = state.v0 * t_kin + state.a * t_kin**2 / 2
     pure_limit = pure.v0 * math.exp(-pure.k * t_drag / pure.m)
     grav_limit = (grav.m * grav.g / grav.k) * (1 - math.exp(-grav.k * t_drag / grav.m))
-    kin_errors, pure_errors, grav_errors = [], [], []
-    for eps in (1e-1, 1e-2, 1e-3):
+    # Each family's closed route, and next to it the kinematics' second-order
+    # route and the gravity series route.
+    kin_errors, kin_second_errors, pure_errors = [], [], []
+    grav_errors, grav_series_errors = [], []
+    for eps in (1e-1, 1e-2, 1e-3, 1e-4):
         params = DeformationParams(q=1 - eps, w=eps * eps)
         kin_errors.append(
             abs(uniform_accel_position(state, t_kin, params.q) - newton)
+        )
+        kin_second_errors.append(
+            abs(solve_second_order_constant_accel(state, t_kin, params) - newton)
         )
         pure_errors.append(abs(gravity_drag_velocity(pure, t_drag, params) - pure_limit))
         grav_errors.append(
             abs(gravity_drag_velocity(grav, t_drag, params) - grav_limit)
         )
+        grav_series_errors.append(
+            abs(gravity_drag_velocity_series(grav, t_drag, params) - grav_limit)
+        )
     elapsed = time.perf_counter() - start
-    for errors in (kin_errors, pure_errors, grav_errors):
-        assert errors[0] > errors[1] > errors[2], errors
+    for errors in (
+        kin_errors, kin_second_errors, pure_errors, grav_errors, grav_series_errors
+    ):
+        assert all(a > b for a, b in zip(errors, errors[1:])), errors
     # Report the dominant terminal error scaled by its own bound so one
     # number summarizes the three families.
+    kin_worst = max(kin_errors[-1], kin_second_errors[-1])
     worst = max(
-        kin_errors[-1] / 1e-5 * 1e-2,  # kinematics bound 1e-5, margin in units of 5e-2
+        kin_worst / 1e-5 * 1e-2,  # kinematics bound 1e-5, margin in units of 5e-2
         pure_errors[-1],
         grav_errors[-1],
+        grav_series_errors[-1],
     )
-    assert kin_errors[-1] < 1e-5
+    assert kin_worst < 1e-5
     finish(8, "classical-limits", worst, 5e-2, elapsed, 2.0)
 
 

@@ -20,6 +20,7 @@ from hahncalc import (
     gravity_drag_velocity_series,
     hahn_integral,
     iterate_first_order,
+    odd_part_qinv,
     q_shifted_factorial_inf,
 )
 
@@ -122,6 +123,18 @@ def test_exp_qw_against_oracle(q):
         rel_err(exp_qw(a, t, params), ref_exp_qw(a, t, q, params.w))
         for a in (-0.9, -0.25, 0.4)
         for t in (0.0, 0.7, 1.3)
+    )
+    assert worst < BOUND
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("q", Q_GRID)
+def test_odd_part_qinv_against_oracle(side, q):
+    # Side 0 is e_{1/q}(a) - e_{1/q}(-a), side 1 the odd series; both equal
+    # the same 40-digit difference.
+    worst = max(
+        rel_err(odd_part_qinv(a, q)[side], ref_exp_qinv(a, q) - ref_exp_qinv(-a, q))
+        for a in [i / 4 for i in range(-12, 13)]
     )
     assert worst < BOUND
 

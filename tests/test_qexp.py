@@ -146,6 +146,15 @@ def test_odd_part_two_paths_agree(a, q):
     assert abs(lhs - rhs) < 1e-12
 
 
+@pytest.mark.parametrize("a", [100.0, -100.0])
+def test_odd_part_is_finite_far_out(a):
+    # The value is about 4.9e35, but a^m and [m]_q! formed whole for the
+    # odd terms m would overflow.
+    lhs, rhs = odd_part_qinv(a, 0.99)
+    assert math.isfinite(lhs) and math.isfinite(rhs)
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
 def test_odd_part_lhs_is_series_difference():
     a, q = 1.0, 0.5
     lhs, _ = odd_part_qinv(a, q)

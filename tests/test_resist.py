@@ -1,16 +1,18 @@
 """Tests for resisted vertical motion: drag and gravity-plus-drag velocities."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hahncalc import resist
+from hahncalc import qexp, resist
 from hahncalc import (
     DeformationParams,
     DragParams,
+    HahnCalcError,
     NonConvergentError,
     TruncationPolicy,
     ZeroFactorError,
@@ -24,8 +26,10 @@ from hahncalc import (
     hahn_derivative,
     kappa,
     lattice_step,
+    odd_part_qinv,
     q_number,
 )
+from hahncalc.core import _sum_until_small
 
 P = DeformationParams(q=0.5, w=0.1)
 PURE = DragParams(m=1.0, k=0.5, g=0.0, v0=2.0)
@@ -154,6 +158,102 @@ def test_gravity_series_term_decay():
         magnitudes.append(abs(term))
     for n in range(5, 15):
         assert magnitudes[n + 1] < magnitudes[n]
+
+
+# The grid of the closed/series bit-identity checks: low to classical q,
+# both signs of g, and seeded times on both sides of w0, far out too.
+BIT_GRID_Q = (0.05, 0.3, 0.5, 0.9, 0.99, 0.999)
+BIT_GRID_W = (0.0, 0.1, 1.0)
+
+
+def bit_grid_times(count):
+    rng = random.Random(0)
+    return [rng.uniform(-60.0, 60.0) for _ in range(count)]
+
+
+def hex_or_error(route, *args):
+    """float.hex of the value, or the type of the library error raised."""
+    try:
+        return float(route(*args)).hex()
+    except HahnCalcError as exc:
+        return type(exc).__name__
+
+
+def test_gravity_series_is_closed_form_with_odd_part_bracket():
+    # The series route is the closed form with the right side of the
+    # odd-part identity as its bracket.
+    for q in BIT_GRID_Q:
+        for w in BIT_GRID_W:
+            params = DeformationParams(q=q, w=w)
+            for g in (9.8, -3.0):
+                dp = DragParams(m=1.0, k=0.5, g=g, v0=1.0)
+                rate = kappa(dp, q)
+                for t in bit_grid_times(10):
+                    e_minus, e_plus = exp_qw(-rate, t, params), exp_qw(rate, t, params)
+                    coeff = (1.0 + q) * dp.m * dp.g / (2.0 * dp.k)
+                    _, rhs = odd_part_qinv(rate * (t - params.w0), q)
+                    expected = dp.v0 * e_minus / e_plus + coeff * e_minus * rhs
+                    assert gravity_drag_velocity_series(dp, t, params) == expected
+
+
+def odd_series_loop_route(dp, t, params, policy):
+    """Reference series route: the driven term summed by its own odd-series
+    loop, with the factor 2 in the coefficient."""
+    q = params.q
+    rate = kappa(dp, q)
+    e_minus, e_plus = exp_qw(-rate, t, params, policy), exp_qw(rate, t, params, policy)
+    homogeneous = dp.v0 * e_minus / e_plus
+    if dp.g == 0.0:
+        return homogeneous
+    x_arg = rate * (t - params.w0)
+    x_sq = x_arg * x_arg
+
+    def odd_terms():
+        term = x_arg
+        n = 0
+        while True:
+            yield term
+            term *= q ** (4 * n + 3) * x_sq / (
+                (1.0 - q ** (2 * n + 2)) / (1.0 - q)
+                * ((1.0 - q ** (2 * n + 3)) / (1.0 - q))
+            )
+            n += 1
+
+    odd_sum, _ = _sum_until_small(odd_terms(), policy, "odd drag series")
+    return homogeneous + (1.0 + q) * dp.m * dp.g / dp.k * e_minus * odd_sum
+
+
+def difference_bracket_route(dp, t, params, policy):
+    """Reference closed route, written out without the shared body."""
+    rate = kappa(dp, params.q)
+    e_minus, e_plus = exp_qw(-rate, t, params, policy), exp_qw(rate, t, params, policy)
+    homogeneous = dp.v0 * e_minus / e_plus
+    if dp.g == 0.0:
+        return homogeneous
+    bracket = qexp._exp_qinv_difference(rate * (t - params.w0), params.q, policy)
+    coeff = (1.0 + params.q) * dp.m * dp.g / (2.0 * dp.k)
+    return homogeneous + coeff * e_minus * bracket
+
+
+def test_closed_and_series_routes_are_bit_identical_to_their_own_loops():
+    # The factor 2 moved between coefficient and bracket is exact, so the
+    # shared body changes no bit of either route.
+    policy = TruncationPolicy()
+    times = bit_grid_times(12)
+    for q in BIT_GRID_Q:
+        for w in BIT_GRID_W:
+            params = DeformationParams(q=q, w=w)
+            for g in (0.0, 9.8, -3.0):
+                for v0 in (0.0, 1.0):
+                    dp = DragParams(m=1.0, k=0.5, g=g, v0=v0)
+                    for t in times:
+                        args = (dp, t, params, policy)
+                        assert hex_or_error(gravity_drag_velocity, *args) == hex_or_error(
+                            difference_bracket_route, *args
+                        )
+                        assert hex_or_error(gravity_drag_velocity_series, *args) == hex_or_error(
+                            odd_series_loop_route, *args
+                        )
 
 
 @pytest.mark.parametrize("t", [0.5, 2.0])
