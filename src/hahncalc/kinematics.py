@@ -75,8 +75,11 @@ class IterationReport:
 
     When the plain route is taken from the start, every evaluation is a
     summed increment, K = steps and residual = q**steps * |t - w0|.  On the
-    extrapolated route the series from t_K on is extrapolated, and steps
-    also counts the probes of the right-hand side that checked it, so
+    Gauss route no increment is summed term by term: K = 0 and
+    residual = |t - w0|, while steps counts the evaluations at the rule's
+    nodes and the probes.  On the extrapolated route the series from t_K on
+    is extrapolated, and steps also counts the probes of the right-hand side
+    that checked it, and the nodes of a Gauss rule tried before it, so
     K <= steps.  The same holds when failed probes send a call back to the
     plain route.
     """
@@ -151,6 +154,8 @@ def iterate_first_order(
     params: DeformationParams,
     x_at_w0: float,
     policy: TruncationPolicy = DEFAULT_POLICY,
+    *,
+    anchor: float | None = None,
 ) -> IterationReport:
     """Solve x(qt+w) - x(t) = ((q-1)t + w) rhs(t) for x(t), given x(w0).
 
@@ -161,19 +166,26 @@ def iterate_first_order(
 
     The sum is core._lattice_sum with weight -u_0.  On the plain route the
     increments are summed in ascending k until CONSECUTIVE_SMALL successive
-    ones are below policy.tol.  When that takes many increments (q near 1)
-    and q > 1/2, the extrapolated route sums a q-independent number of
-    blocks of them and extrapolates the tail, assuming rhs analytic at w0;
-    probes of rhs down to the plain route's depth check that assumption and
-    send the call back to the plain route when they disagree.  See
+    ones are below policy.tol.  When that takes many increments (q near 1),
+    or the first is already below tol, and q > 1/2, the Gauss route
+    evaluates rhs at the nodes of the Gauss rule of the lattice measure, a
+    number of them that does not depend on q.  It is taken only where its
+    rounding fits the value returned: anchor, x_at_w0 unless given, is what
+    the caller adds to the sum, and a sum that cancels against it goes to the
+    extrapolated route, which sums a fixed number of blocks of increments
+    and extrapolates the tail.  Both assume rhs analytic at w0, and probes
+    of rhs down to the plain route's depth check that and send the call on,
+    in the end back to the plain route, when they disagree.  See
     IterationReport for what steps and residual mean on each route.
 
     Every evaluation of rhs counts against policy.max_terms; raises
     NonConvergentError if they run out before the plain stopping rule is met.
     """
     u0 = lattice_step(t, params)
+    if anchor is None:
+        anchor = x_at_w0
     total, steps, summed = _lattice_sum(
-        rhs, t, params, policy, -u0, "first-order iteration at t={!r}", t
+        rhs, t, params, policy, -u0, anchor, "first-order iteration at t={!r}", t
     )
     residual = abs(advance_n(t, summed, params) - params.w0)
     return IterationReport(value=x_at_w0 + total, steps=steps, residual=residual)
@@ -190,10 +202,12 @@ def solve_second_order_constant_accel(
     The substitution h(t) = x(qt+w) - q x(t) turns the second-order lattice
     equation with constant right-hand side a into a first-order equation
     for h whose own right-hand side is q a ((q-1)s + w).  Stage 1 solves
-    that equation by lattice telescoping, for the increment
-    h(t) - h(w0) alone.  Stage 2 inverts the substitution: for a trajectory
-    of the form x(w0) + C s + g s^2, s = t - w0, the substitution maps the
-    linear part to a constant and scales the quadratic one by q^2 - q, so
+    that equation by lattice telescoping, for the increment h(t) - h(w0)
+    alone, anchored at (x(w0) + C s)(q^2 - q), the part of the returned x
+    that it is added to, in units of h.  Stage 2 inverts the substitution:
+    for a trajectory of the form x(w0) + C s + g s^2, s = t - w0, the
+    substitution maps the linear part to a constant and scales the quadratic
+    one by q^2 - q, so
 
         g s^2 = (h(t) - h(w0)) / (q^2 - q),
         C = v0 + 2 a w0 / (1+q),
@@ -204,9 +218,15 @@ def solve_second_order_constant_accel(
     q = params.q
     s = t - params.w0
     slope = state.v0 + 2.0 * state.a * params.w0 / (1.0 + q)
+    x_at_w0 = position_at_fixed_point(state, params)
+    qa = q * state.a
+    q_minus_1 = q - 1.0
+    w = params.w
 
     def rhs_h(u: float) -> float:
-        return q * state.a * lattice_step(u, params)
+        return qa * (q_minus_1 * u + w)
 
-    delta_h = iterate_first_order(rhs_h, t, params, 0.0, policy).value
-    return position_at_fixed_point(state, params) + slope * s + delta_h / (q * q - q)
+    linear = x_at_w0 + slope * s
+    anchor = linear * (q * q - q)
+    delta_h = iterate_first_order(rhs_h, t, params, 0.0, policy, anchor=anchor).value
+    return linear + delta_h / (q * q - q)

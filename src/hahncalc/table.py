@@ -11,12 +11,12 @@ Rendering is deterministic: floats are written with repr (shortest
 round-trip form), and column and metadata order is insertion order.  The
 JSON text is exactly json.dumps(payload, indent=2) plus a newline, but the
 columns and flags, nearly all of its bytes, go through json's C encoder,
-which json.dumps skips whenever indent is set.
+which json.dumps skips whenever indent is set.  json is imported on the
+first JSON rendering, so CSV runs never load it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 __all__ = ["TrajectoryTable", "FLAG_OK", "FLAG_POLE", "FLAG_NONCONVERGENT"]
@@ -33,6 +33,8 @@ def _json_list(values: list, pad: str) -> str:
     Encoding with indent=None takes json's C encoder; the item separator
     carries the newline and indent of the next item.  Items must be scalars.
     """
+    import json
+
     if not values:
         return "[]"
     inner = pad + "  "
@@ -114,6 +116,8 @@ class TrajectoryTable:
         newline, for the payload {"metadata", "columns", "flags"}; a NaN or
         infinite value raises ValueError.
         """
+        import json
+
         self.validate()
         metadata = json.dumps(self.metadata, indent=2, allow_nan=False)
         columns = ",\n".join(

@@ -179,6 +179,17 @@ def test_second_order_quotient_is_constant_accel(t):
     assert second == pytest.approx(STATE.a, abs=1e-8 * (1 + abs(STATE.a)))
 
 
+def test_second_order_keeps_the_quadratic_part_next_to_the_fixed_point():
+    # At q = 0.999 and s = t - w0 = 1e-5 every increment of h lies below tol,
+    # so the plain rule stopped after three of them and lost a s^2/(1+q), the
+    # whole quadratic part: 1.5e-10.  Such sums take the Gauss rule.
+    state = KinematicState(x0=1.0, v0=0.5, a=3.0)
+    params = DeformationParams(q=0.999, w=2e-4)
+    t = params.w0 + 1e-5
+    closed = uniform_accel_position(state, t, params.q)
+    assert abs(solve_second_order_constant_accel(state, t, params) - closed) <= 1e-15
+
+
 def test_second_order_expansion_identity():
     # x(q^2 t + (1+q) w) - (1+q) x(qt+w) + q x(t) = q a ((q-1)t + w)^2
     q, w, a = P.q, P.w, STATE.a

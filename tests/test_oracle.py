@@ -7,6 +7,7 @@ forms.  Errors are measured on the scale |value - ref| / max(1, |ref|).
 Skipped when mpmath is not installed.
 """
 
+import math
 import random
 
 import pytest
@@ -213,6 +214,63 @@ def test_hahn_integral_prefactor_is_correctly_rounded(q):
     # (1 - q)t - w cancels near a large w0; rounded plainly it cost up to
     # 1.3e-14 at q = 0.99 and 1.0e-13 at q = 0.999.
     assert worst_hahn_integral_error(q) < 1e-15
+
+
+def ref_exp2_integral(t, q, w):
+    """Hahn integral from w0 to t of exp(2s), at 40 digits.
+
+    With d = t - w0 it is (1 - q) d e^(2 w0) sum_j (2d)^j / (j! (1 - q^(j+1))).
+    """
+    q, w, t = mp.mpf(q), mp.mpf(w), mp.mpf(t)
+    w0 = w / (1 - q)
+    d = t - w0
+    total, term, j = mp.mpf(0), mp.mpf(1), 0
+    while abs(term) > mp.mpf(10) ** -45:
+        total += term / (1 - q ** (j + 1))
+        j += 1
+        term *= 2 * d / j
+    return (1 - q) * d * mp.exp(2 * w0) * total
+
+
+def ref_pole_integral(t, q, w):
+    """Hahn integral from w0 to t of 1/(1.3 - s), at 40 digits, for |t - w0| < |1.3 - w0|.
+
+    With d = t - w0 and c = 1.3 - w0 it is (1 - q) d sum_j d^j / (c^(j+1) (1 - q^(j+1))).
+    """
+    q, w, t = mp.mpf(q), mp.mpf(w), mp.mpf(t)
+    w0 = w / (1 - q)
+    d, c = t - w0, mp.mpf(1.3) - w0
+    total, term, j = mp.mpf(0), 1 / c, 0
+    while abs(term) > mp.mpf(10) ** -45:
+        total += term / (1 - q ** (j + 1))
+        j += 1
+        term *= d / c
+    return (1 - q) * d * total
+
+
+SMOOTH_CASES = [
+    (lambda s: math.exp(2.0 * s), ref_exp2_integral),
+    (lambda s: 1.0 / (1.3 - s), ref_pole_integral),
+]
+
+
+@pytest.mark.parametrize("case", range(len(SMOOTH_CASES)))
+@pytest.mark.parametrize("q", [0.9, 0.99, 0.999, 0.9999, 0.99999])
+def test_smooth_lattice_sums_near_the_classical_limit(q, case):
+    # exp(2s) and 1/(1.3 - s), the latter with its pole at least 1/0.7 times
+    # |t - w0| away from w0.  The extrapolated route ran out of max_terms
+    # from q of about 0.99998; both calls here are unanchored and take the
+    # Gauss route.
+    f, ref_integral = SMOOTH_CASES[case]
+    worst = 0.0
+    for w0 in (0.0, 0.2):
+        params = DeformationParams(q=q, w=w0 * (1.0 - q))
+        for t in (-0.5, 0.4, 0.9):
+            ref = ref_integral(t, q, params.w)
+            worst = max(worst, rel_err(hahn_integral(f, t, params), ref))
+            report = iterate_first_order(f, t, params, x_at_w0=0.0)
+            worst = max(worst, rel_err(report.value, ref))
+    assert worst < BOUND
 
 
 @pytest.mark.parametrize("q", LATTICE_Q_GRID)
