@@ -1063,7 +1063,7 @@ def _hahn_prefactor(t: float, q: float, w: float) -> float:
     The plain (1 - q) * t - w cancels when t is near a large w0 = w/(1 - q),
     losing up to three digits at q = 0.999.
     """
-    if not abs(t) < 2.0**996:  # the split would overflow, or t is not finite
+    if not abs(t) < _SPLIT_LIMIT:  # the split would overflow, or t is not finite
         return (1.0 - q) * t - w
     hi, lo = _two_product(q, t)
     return math.fsum((t, -hi, -lo, -w))
