@@ -7,7 +7,11 @@ Subcommands:
 * drag: resisted-fall velocities, closed, series, iterative, and classical
   routes.  Each route solves the one equation of motion for every --g;
   --g 0 is pure drag.  The iterative route stops by its own rule (see
-  resist), within the --max-terms budget.
+  resist), within the --max-terms budget.  Each (q, w) block builds one
+  route object (resist._DragRoutes), so the lattice constants are formed
+  once per block and a row's closed and series cells share one evaluation
+  of e_{q,w}(-+kappa t).  Cells are flagged pole only at poles of v, those
+  of e_{q,w}(-kappa t); at a pole of e_{q,w}(kappa t) v is finite.
 * verify: run the randomized identity suite and print one line per
   identity with its worst residual and pass/fail status.
 * sweep: run kinematics or drag over swept q and/or w values in long
@@ -42,13 +46,7 @@ from .kinematics import (
     solve_second_order_constant_accel,
     uniform_accel_position,
 )
-from .resist import (
-    DragParams,
-    classical_drag_velocity,
-    gravity_drag_velocity,
-    gravity_drag_velocity_iterative,
-    gravity_drag_velocity_series,
-)
+from .resist import DragParams, _DragRoutes, classical_drag_velocity
 from .table import FLAG_NONCONVERGENT, FLAG_OK, FLAG_POLE, TrajectoryTable
 
 __all__ = ["main", "build_parser"]
@@ -233,31 +231,34 @@ def _parse_routes(spec: str, allowed: Sequence[str], parser: _Parser) -> list[st
     return requested
 
 
-def _evaluate_cell(fn: Callable[[float], float], t: float) -> tuple[float | None, str]:
-    """Run one solver at one time, mapping failures to (None, flag)."""
-    try:
-        value = fn(t)
-    except (PoleEncounteredError, ZeroFactorError):
-        return None, FLAG_POLE
-    except (NonConvergentError, OverflowError):
-        return None, FLAG_NONCONVERGENT
-    if not math.isfinite(value):
-        return None, FLAG_NONCONVERGENT
-    return value, FLAG_OK
-
-
 def _evaluate_block(
     ts: Sequence[float],
     route_names: Sequence[str],
     evaluators: dict[str, Callable[[float], float]],
 ) -> tuple[dict[str, list[float | None]], list[str]]:
+    """Run each route at each time, row by row, mapping failures to flags.
+
+    A pole or vanishing factor empties the cell with flag pole; a budget
+    that runs out, an overflow or a non-finite value empties it with flag
+    nonconvergent.  A row takes the most severe flag of its cells.
+    """
     columns: dict[str, list[float | None]] = {name: [] for name in route_names}
+    cells = [(columns[name], evaluators[name]) for name in route_names]
     flags: list[str] = []
     for t in ts:
         row_flag = FLAG_OK
-        for name in route_names:
-            value, cell_flag = _evaluate_cell(evaluators[name], t)
-            columns[name].append(value)
+        for column, fn in cells:
+            try:
+                value = fn(t)
+            except (PoleEncounteredError, ZeroFactorError):
+                value, cell_flag = None, FLAG_POLE
+            except (NonConvergentError, OverflowError):
+                value, cell_flag = None, FLAG_NONCONVERGENT
+            else:
+                cell_flag = FLAG_OK
+                if not math.isfinite(value):
+                    value, cell_flag = None, FLAG_NONCONVERGENT
+            column.append(value)
             if _SEVERITY[cell_flag] > _SEVERITY[row_flag]:
                 row_flag = cell_flag
         flags.append(row_flag)
@@ -319,14 +320,11 @@ def _drag_setup(
         parser.error(str(exc))
 
     def evaluators(params: DeformationParams) -> dict[str, Callable[[float], float]]:
+        routes = _DragRoutes(dp, params, policy)
         return {
-            "closed": lambda t: gravity_drag_velocity(dp, t, params, policy),
-            "series": lambda t: gravity_drag_velocity_series(dp, t, params, policy),
-            # The iterative route takes policy by keyword: a positional fourth
-            # argument reads as a fixed depth to perfbench's drag_steps hook.
-            "iterative": lambda t: gravity_drag_velocity_iterative(
-                dp, t, params, policy=policy
-            ),
+            "closed": routes.closed,
+            "series": routes.series,
+            "iterative": routes.iterative,
             "classical": lambda t: classical_drag_velocity(dp, t),
         }
 

@@ -226,7 +226,10 @@ def solve_second_order_constant_accel(
     def rhs_h(u: float) -> float:
         return qa * (q_minus_1 * u + w)
 
+    # q^2 - q as q (q - 1), where q - 1 is exact for q >= 1/2: q*q would round
+    # before the subtraction cancels.
+    factor = q * q_minus_1
     linear = x_at_w0 + slope * s
-    anchor = linear * (q * q - q)
+    anchor = linear * factor
     delta_h = iterate_first_order(rhs_h, t, params, 0.0, policy, anchor=anchor).value
-    return linear + delta_h / (q * q - q)
+    return linear + delta_h / factor

@@ -11,14 +11,25 @@ each for every g (g = 0 is pure drag):
 * closed form in terms of the deformed exponentials
   (gravity_drag_velocity),
 * a power series with q^(n(2n+1)) weights for the gravity-driven part
-  (gravity_drag_velocity_series): the closed form's body, _gravity_drag,
-  fed the other side of the odd-part identity of e_{1/q} (see qexp),
+  (gravity_drag_velocity_series): the closed form's body fed the other
+  side of the odd-part identity of e_{1/q} (see qexp),
 * backward recursion of the lattice equation of motion itself from the
   solution's local power series about w0, whose coefficients follow from
   the equation of motion alone (gravity_drag_velocity_iterative).  It
   assumes nothing beyond the equation of motion and therefore serves as
   the oracle for the other two.  It has one stopping rule, taken from
   error bounds, and counts its work against TruncationPolicy.max_terms.
+
+All three are methods of one route object per (q, w), _DragRoutes, which
+forms the lattice constants once; each public function builds a fresh one,
+and the CLI builds one per (q, w) block of its table.
+
+Poles: e_{q,w}(-kappa t) multiplies v, so a pole of it (a vanishing factor
+of (kappa step; q)_inf, step = (q-1)t + w) is a pole of v and raises
+PoleEncounteredError in the closed and series routes, and ZeroFactorError in
+the iteration, whose factor 1 - kappa u_0 vanishes there.  e_{q,w}(kappa t)
+enters v only through its reciprocal, which is 0 at its poles, where v is
+finite and every route returns it.
 
 Conventions: downward is positive, so g > 0 accelerates the fall.  The
 drag strength enters through kappa = k/(m(1+q)).  Velocities are anchored
@@ -32,7 +43,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Iterator
 
@@ -48,8 +58,8 @@ from .core import (
     _sum_until_small,
     lattice_step,
 )
-from .errors import ZeroFactorError
-from .qexp import _exp_qinv_difference, _exp_qinv_odd_part, _exp_qw_pm
+from .errors import PoleEncounteredError, ZeroFactorError
+from .qexp import _exp_qinv_difference, _exp_qinv_odd_part, _exp_qw_pm, exp_qw
 
 __all__ = [
     "DragParams",
@@ -110,42 +120,126 @@ def kappa(dp: DragParams, q: float) -> float:
     return dp.k / (dp.m * (1.0 + q))
 
 
-@lru_cache(maxsize=1)
-def _homogeneous_pair(
-    dp: DragParams,
-    t: float,
-    params: DeformationParams,
-    policy: TruncationPolicy,
-) -> tuple[float, float]:
-    """(e_{q,w}(-kappa t), e_{q,w}(kappa t)), the homogeneous drag factors.
+class _DragRoutes:
+    """The three deformed drag routes at one (q, w), for one DragParams and policy.
 
-    Both come from one pass over their products (see qexp._exp_qw_pm).  The
-    closed and series routes of one table row share them, so the last
-    argument set is memoised; all four arguments are frozen and hashable.
+    kappa, the driven term's coefficient (1+q) m g/(2k), the iteration's
+    series coefficient c_1 = g - 2 kappa v0, its start radius and log q are
+    formed once here, by the expressions each route used to form per call,
+    so no bit of any route moves.  The closed and series routes at one t
+    share e_{q,w}(-kappa t) and e_{q,w}(kappa t) (one pass, see
+    qexp._exp_qw_pm) through a memo of the last t, so a table row that asks
+    for both evaluates the pair once.
     """
-    return _exp_qw_pm(kappa(dp, params.q), t, params, policy)
 
+    __slots__ = (
+        "_params", "_policy", "_q", "_w0", "_rate", "_v0", "_g", "_coeff",
+        "_c1", "_start", "_log_start", "_log_q", "_last",
+    )
 
-def _gravity_drag(
-    dp: DragParams,
-    t: float,
-    params: DeformationParams,
-    policy: TruncationPolicy,
-    bracket: Callable[[float, float, TruncationPolicy], float],
-) -> float:
-    """v0 e_{q,w}(-kappa t)/e_{q,w}(kappa t) + ((1+q) m g/(2k)) e_{q,w}(-kappa t) B(X).
+    def __init__(
+        self, dp: DragParams, params: DeformationParams, policy: TruncationPolicy
+    ) -> None:
+        q = params.q
+        rate = kappa(dp, q)
+        self._params = params
+        self._policy = policy
+        self._q = q
+        self._w0 = params.w0
+        self._rate = rate
+        self._v0 = dp.v0
+        self._g = dp.g
+        self._coeff = (1.0 + q) * dp.m * dp.g / (2.0 * dp.k)
+        self._c1 = dp.g - 2.0 * rate * dp.v0
+        # The largest |x| with kappa |x| <= SERIES_START and |kappa u_N| <= q^3/2;
+        # unbounded where kappa underflowed to 0.
+        start = min(SERIES_START, 0.5 * q**3 / (1.0 - q))
+        start = start / rate if rate > 0.0 else math.inf
+        self._start = start
+        self._log_start = math.log(start) if start > 0.0 else -math.inf
+        self._log_q = math.log(q)
+        self._last: tuple[float, float, float] | None = None
 
-    B is one side of the odd-part identity of e_{1/q}, called as
-    bracket(X, q, policy) at X = kappa (t - w0); with g = 0 (pure drag) the
-    driven term is exactly zero and B is not evaluated.
-    """
-    e_minus, e_plus = _homogeneous_pair(dp, t, params, policy)
-    homogeneous = dp.v0 * e_minus / e_plus
-    if dp.g == 0.0:
-        return homogeneous
-    x_arg = kappa(dp, params.q) * (t - params.w0)
-    coeff = (1.0 + params.q) * dp.m * dp.g / (2.0 * dp.k)
-    return homogeneous + coeff * e_minus * bracket(x_arg, params.q, policy)
+    def _velocity(
+        self, t: float, bracket: Callable[[float, float, TruncationPolicy], float]
+    ) -> float:
+        """v0 e_{q,w}(-kappa t)/e_{q,w}(kappa t) + ((1+q) m g/(2k)) e_{q,w}(-kappa t) B(X).
+
+        B is one side of the odd-part identity of e_{1/q}, called as
+        bracket(X, q, policy) at X = kappa (t - w0); with g = 0 (pure drag) the
+        driven term is exactly zero and B is not evaluated.
+
+        A pole of e_{q,w}(-kappa t) (a vanishing factor of (kappa step; q)_inf)
+        is one of v and raises PoleEncounteredError.  e_{q,w}(kappa t) enters
+        v only through its reciprocal, which is 0 at its poles.
+        """
+        last = self._last
+        if last is not None and last[0] == t:
+            _, e_minus, e_plus = last
+        else:
+            try:
+                e_minus, e_plus = _exp_qw_pm(self._rate, t, self._params, self._policy)
+            except PoleEncounteredError:
+                # Raises again where the pole is e_{q,w}(-kappa t)'s own.
+                e_minus = exp_qw(-self._rate, t, self._params, self._policy)
+                e_plus = math.inf
+            self._last = (t, e_minus, e_plus)
+        homogeneous = self._v0 * e_minus / e_plus
+        if self._g == 0.0:
+            return homogeneous
+        x_arg = self._rate * (t - self._w0)
+        return homogeneous + self._coeff * e_minus * bracket(x_arg, self._q, self._policy)
+
+    def closed(self, t: float) -> float:
+        """The closed form, bracket e_{1/q}(X) - e_{1/q}(-X) (gravity_drag_velocity)."""
+        return self._velocity(t, _exp_qinv_difference)
+
+    def series(self, t: float) -> float:
+        """The odd series form (gravity_drag_velocity_series)."""
+        return self._velocity(t, _exp_qinv_odd_part)
+
+    def iterative(self, t: float) -> float:
+        """Backward recursion of the motion equation (gravity_drag_velocity_iterative)."""
+        q = self._q
+        rate = self._rate
+        policy = self._policy
+        start = self._start
+        s = t - self._w0
+        depth = 0
+        if not abs(s) <= start:
+            # The first N with q^N |s| <= start; the whole budget, which makes
+            # the series below raise, where s is not finite or start is 0.
+            depth = policy.max_terms
+            if start > 0.0 and math.isfinite(s):
+                depth = min(depth, math.ceil((self._log_start - math.log(abs(s))) / self._log_q))
+        v, _ = _sum_until_small(
+            _gravity_drag_series_terms(self._v0, self._c1, rate, q, s * q**depth),
+            policy,
+            "gravity-drag iteration at t={!r}, q={!r}",
+            t,
+            q,
+            spent=depth,
+        )
+        g = self._g
+        u0 = lattice_step(t, self._params)
+        head = 0
+        while head < depth and abs(rate * (u0 * q**head)) >= ZERO_FACTOR_HEAD:
+            head += 1
+        for j in range(depth - 1, head - 1, -1):
+            uj = u0 * q**j
+            drag = rate * uj
+            v = (-g * uj + (1.0 + drag) * v) / (1.0 - drag)
+        for j in range(head - 1, -1, -1):
+            uj = u0 * q**j
+            drag = rate * uj
+            denom = 1.0 - drag
+            if abs(denom) < ZERO_FACTOR_TOL:
+                raise ZeroFactorError(
+                    f"denominator factor 1 - kappa u_{j} vanishes for t={t!r}, "
+                    f"q={q!r}, w={self._params.w!r}"
+                )
+            v = (-g * uj + (1.0 + drag) * v) / denom
+        return v
 
 
 def gravity_drag_velocity(
@@ -164,9 +258,11 @@ def gravity_drag_velocity(
     point, which is what pins v(w0) = v0 exactly.  With g = 0 (pure drag)
     the driven term is exactly zero and is not evaluated, leaving
     v0 e_{q,w}(-kappa t)/e_{q,w}(kappa t).  Raises PoleEncounteredError at
-    poles of the deformed exponentials and propagates NonConvergentError.
+    poles of e_{q,w}(-kappa t); at a pole of e_{q,w}(kappa t), which enters
+    only through its reciprocal, that reciprocal is 0.  Propagates
+    NonConvergentError.
     """
-    return _gravity_drag(dp, t, params, policy, _exp_qinv_difference)
+    return _DragRoutes(dp, params, policy).closed(t)
 
 
 def gravity_drag_velocity_series(
@@ -182,9 +278,9 @@ def gravity_drag_velocity_series(
     summed term by term (qexp._exp_qinv_odd_part); at g = 0 it is not
     summed.  Agreement with gravity_drag_velocity within combined truncation
     error is the resummation check between the two ways of writing the
-    driven response.
+    driven response.  Poles as in gravity_drag_velocity.
     """
-    return _gravity_drag(dp, t, params, policy, _exp_qinv_odd_part)
+    return _DragRoutes(dp, params, policy).series(t)
 
 
 def gravity_drag_velocity_iterative(
@@ -218,58 +314,19 @@ def gravity_drag_velocity_iterative(
     tolerance; only the head of near points with |kappa u_j| >=
     ZERO_FACTOR_HEAD is tested, because no farther factor can vanish.
     """
-    q = params.q
-    rate = kappa(dp, q)
-    # The largest |x| with kappa |x| <= SERIES_START and |kappa u_N| <= q^3/2.
-    start = min(SERIES_START, 0.5 * q**3 / (1.0 - q)) / rate
-    s = t - params.w0
-    depth = 0
-    if not abs(s) <= start:
-        # The first N with q^N |s| <= start; the whole budget, which makes
-        # the series below raise, where s is not finite or start is 0.
-        depth = policy.max_terms
-        if start > 0.0 and math.isfinite(s):
-            depth = min(depth, math.ceil((math.log(start) - math.log(abs(s))) / math.log(q)))
-    v, _ = _sum_until_small(
-        _gravity_drag_series_terms(dp, rate, q, s * q**depth),
-        policy,
-        "gravity-drag iteration at t={!r}, q={!r}",
-        t,
-        q,
-        spent=depth,
-    )
-    g = dp.g
-    u0 = lattice_step(t, params)
-    head = 0
-    while head < depth and abs(rate * (u0 * q**head)) >= ZERO_FACTOR_HEAD:
-        head += 1
-    for j in range(depth - 1, head - 1, -1):
-        uj = u0 * q**j
-        drag = rate * uj
-        v = (-g * uj + (1.0 + drag) * v) / (1.0 - drag)
-    for j in range(head - 1, -1, -1):
-        uj = u0 * q**j
-        drag = rate * uj
-        denom = 1.0 - drag
-        if abs(denom) < ZERO_FACTOR_TOL:
-            raise ZeroFactorError(
-                f"denominator factor 1 - kappa u_{j} vanishes for t={t!r}, "
-                f"q={q!r}, w={params.w!r}"
-            )
-        v = (-g * uj + (1.0 + drag) * v) / denom
-    return v
+    return _DragRoutes(dp, params, policy).iterative(t)
 
 
 def _gravity_drag_series_terms(
-    dp: DragParams, rate: float, q: float, x: float
+    v0: float, c1: float, rate: float, q: float, x: float
 ) -> Iterator[float]:
     """c_n x^n, n >= 0, of the velocity's power series about the fixed point.
 
     [n+1]_q is summed up as 1 + q + ... + q^n, which keeps its relative
     accuracy as q -> 1, where 1 - q^(n+1) would cancel.
     """
-    yield dp.v0
-    term = (dp.g - 2.0 * rate * dp.v0) * x
+    yield v0
+    term = c1 * x
     ratio = -rate * x
     qn = q  # q^n ahead of term n + 1
     q_int = 1.0  # [n]_q
@@ -278,8 +335,6 @@ def _gravity_drag_series_terms(
         q_int += qn
         term *= ratio * (1.0 + qn) / q_int
         qn *= q
-
-
 def classical_drag_velocity(dp: DragParams, t: float) -> float:
     """Undeformed resisted fall: v0 e^(-kt/m) + (mg/k)(1 - e^(-kt/m)).
 

@@ -179,27 +179,27 @@ def test_drag_classical_limit_column():
 
 
 def test_drag_pole_row_flagged_and_emptied():
-    # The closed route's denominator exponential has a pole at
-    # t = (w + 1/kappa)/(1 - q) = 6.2 for these parameters.
+    # For these parameters v has a pole at t = (w - 1/kappa)/(1 - q) = -5.8,
+    # where e_{q,w}(-kappa t) has one, and every deformed route flags it.
+    # At t = (w + 1/kappa)/(1 - q) = 6.2 only e_{q,w}(kappa t) has a pole;
+    # it enters v through its reciprocal, so v is finite (0 at g = 0).
     proc = run_cli(
         "drag", "--q", "0.5", "--w", "0.1",
         "--m", "1", "--k", "0.5", "--g", "0", "--v0", "2",
-        "--t-start", "5", "--t-end", "6.2", "--samples", "2",
-        "--routes", "closed,iterative",
+        "--t-start", "-5.8", "--t-end", "6.2", "--samples", "2",
+        "--routes", "closed,series,iterative",
     )
     assert proc.returncode == 0
     _, header, rows = parse_csv(proc.stdout)
-    assert rows[0][-1] == "ok"
-    assert rows[1][-1] == "pole"
-    assert rows[1][header.index("closed")] == ""
-    assert rows[1][header.index("iterative")] != ""
+    assert rows[0][1:] == ["", "", "", "pole"]
+    assert rows[1][1:] == ["0.0", "0.0", "0.0", "ok"]
 
 
 def test_drag_all_pole_rows_exit_3():
     proc = run_cli(
         "drag", "--q", "0.5", "--w", "0.1",
         "--m", "1", "--k", "0.5", "--g", "0", "--v0", "2",
-        "--t-start", "6.2", "--t-end", "6.2", "--samples", "1",
+        "--t-start", "-5.8", "--t-end", "-5.8", "--samples", "1",
         "--routes", "closed",
     )
     assert proc.returncode == 3

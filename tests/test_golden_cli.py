@@ -12,7 +12,10 @@ After a deliberate change of output, see what moved with
 
 which writes nothing and reports, per golden file, the lines changed, the
 numeric table cells moved, the worst relative move, and the columns whose
-cells moved or, when none did, the metadata keys that moved; then regenerate
+cells moved or, when none did, the metadata keys that moved.  A cell's move
+is |new - old| / max(1, |old|, |new|), the error scale of the CLI's
+agreement rule and of the benchmark's reference errors, so a cell near 0
+that moves by rounding reads as a small move; then regenerate
 the files with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -113,8 +116,7 @@ def diff_report(old, new):
     cells = [key for key in moved if key[0] != "metadata"]
     pairs = [(as_number(before.get(key)), as_number(after.get(key))) for key in cells]
     numeric = [(x, y) for x, y in pairs if x is not None and y is not None]
-    # 0.0 against -0.0 moves by nothing.
-    worst = max((abs(y - x) / (max(abs(x), abs(y)) or 1.0) for x, y in numeric), default=0)
+    worst = max((abs(y - x) / max(1.0, abs(x), abs(y)) for x, y in numeric), default=0)
     line = f"{changed} lines changed, {len(numeric)} numeric cells moved"
     if numeric:
         line += f", worst relative move {worst:.2g}"

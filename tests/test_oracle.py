@@ -15,6 +15,7 @@ import pytest
 from hahncalc import (
     DeformationParams,
     DragParams,
+    KinematicState,
     exp_qw,
     gravity_drag_velocity,
     gravity_drag_velocity_iterative,
@@ -23,6 +24,7 @@ from hahncalc import (
     iterate_first_order,
     odd_part_qinv,
     q_shifted_factorial_inf,
+    solve_second_order_constant_accel,
 )
 
 mp = pytest.importorskip("mpmath")
@@ -285,3 +287,19 @@ def test_iterate_first_order_against_oracle(q):
             report = iterate_first_order(rhs, t, params, x_at_w0=0.0)
             worst = max(worst, rel_err(report.value, ref))
     assert worst < BOUND
+
+
+def test_second_order_route_against_oracle_near_the_classical_limit():
+    # At q = 0.999, w = 1 the fixed point sits at w0 = 1000, where
+    # x(w0) = w0^2/(1+q) is about 5e5, while x(t) is of order 1: the final
+    # division by q^2 - q scales that factor's rounding by about w0^2/(1+q).
+    # Forming it as q*q - q costs 1.4e-8 here; as q (q - 1), 2e-10.
+    q, w = 0.999, 1.0
+    params = DeformationParams(q=q, w=w)
+    state = KinematicState(x0=0.0, v0=0.0, a=1.0)
+    worst = 0.0
+    for i in range(40):
+        t = 0.1 + i * (1.8 / 39)
+        ref = mp.mpf(t) ** 2 / (1 + mp.mpf(q))
+        worst = max(worst, rel_err(solve_second_order_constant_accel(state, t, params), ref))
+    assert worst < 1e-9

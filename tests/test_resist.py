@@ -14,6 +14,7 @@ from hahncalc import (
     DragParams,
     HahnCalcError,
     NonConvergentError,
+    PoleEncounteredError,
     TruncationPolicy,
     ZeroFactorError,
     classical_drag_velocity,
@@ -29,7 +30,7 @@ from hahncalc import (
     odd_part_qinv,
     q_number,
 )
-from hahncalc.core import _sum_until_small
+from hahncalc.core import ZERO_FACTOR_TOL, _sum_until_small
 
 P = DeformationParams(q=0.5, w=0.1)
 PURE = DragParams(m=1.0, k=0.5, g=0.0, v0=2.0)
@@ -235,25 +236,69 @@ def difference_bracket_route(dp, t, params, policy):
     return homogeneous + coeff * e_minus * bracket
 
 
+def iterative_loop_route(dp, t, params, policy):
+    """Reference iterative route: the series start and the backward recursion
+    written out, every factor tested for a zero."""
+    q = params.q
+    rate = kappa(dp, q)
+    start = min(resist.SERIES_START, 0.5 * q**3 / (1.0 - q)) / rate
+    s = t - params.w0
+    depth = 0
+    if not abs(s) <= start:
+        depth = policy.max_terms
+        if start > 0.0 and math.isfinite(s):
+            depth = min(depth, math.ceil((math.log(start) - math.log(abs(s))) / math.log(q)))
+    x = s * q**depth
+
+    def terms():
+        yield dp.v0
+        term = (dp.g - 2.0 * rate * dp.v0) * x
+        qn, q_int = q, 1.0
+        while True:
+            yield term
+            q_int += qn
+            term *= -rate * x * (1.0 + qn) / q_int
+            qn *= q
+
+    v, _ = _sum_until_small(terms(), policy, "iteration", spent=depth)
+    u0 = lattice_step(t, params)
+    for j in range(depth - 1, -1, -1):
+        uj = u0 * q**j
+        drag = rate * uj
+        denom = 1.0 - drag
+        if abs(denom) < ZERO_FACTOR_TOL:
+            raise ZeroFactorError(f"factor {j}")
+        v = (-dp.g * uj + (1.0 + drag) * v) / denom
+    return v
+
+
 def test_closed_and_series_routes_are_bit_identical_to_their_own_loops():
     # The factor 2 moved between coefficient and bracket is exact, so the
-    # shared body changes no bit of either route.
+    # shared body changes no bit of either route.  Each route runs twice:
+    # through its public function, a fresh route object per call, and
+    # through one route object per (q, w, g, v0) that walks the times in
+    # order with closed before series, so a stale memo of the homogeneous
+    # pair or a constant hoisted wrongly shows.
     policy = TruncationPolicy()
     times = bit_grid_times(12)
+    references = (
+        (difference_bracket_route, gravity_drag_velocity, "closed"),
+        (odd_series_loop_route, gravity_drag_velocity_series, "series"),
+        (iterative_loop_route, gravity_drag_velocity_iterative, "iterative"),
+    )
     for q in BIT_GRID_Q:
         for w in BIT_GRID_W:
             params = DeformationParams(q=q, w=w)
             for g in (0.0, 9.8, -3.0):
                 for v0 in (0.0, 1.0):
                     dp = DragParams(m=1.0, k=0.5, g=g, v0=v0)
+                    routes = resist._DragRoutes(dp, params, policy)
                     for t in times:
                         args = (dp, t, params, policy)
-                        assert hex_or_error(gravity_drag_velocity, *args) == hex_or_error(
-                            difference_bracket_route, *args
-                        )
-                        assert hex_or_error(gravity_drag_velocity_series, *args) == hex_or_error(
-                            odd_series_loop_route, *args
-                        )
+                        for reference, public, name in references:
+                            expected = hex_or_error(reference, *args)
+                            assert hex_or_error(public, *args) == expected
+                            assert hex_or_error(getattr(routes, name), t) == expected
 
 
 @pytest.mark.parametrize("t", [0.5, 2.0])
@@ -462,7 +507,7 @@ def test_closed_form_past_the_double_range_is_zero_not_a_crash():
 @pytest.fixture
 def pair_calls(monkeypatch):
     """Count one-pass evaluations of the pair e(-kappa t), e(kappa t) made
-    through resist, with an empty memo."""
+    through resist."""
     calls = []
     original = resist._exp_qw_pm
 
@@ -471,37 +516,59 @@ def pair_calls(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(resist, "_exp_qw_pm", counting)
-    resist._homogeneous_pair.cache_clear()
     return calls
 
 
 @pytest.mark.parametrize("g", [0.0, 9.8])
 def test_closed_and_series_share_the_homogeneous_factor(g, pair_calls):
+    # One route object evaluates the pair once per t: closed and series at
+    # one t share it, and a new t or a new object evaluates it again.
     dp = DragParams(m=1.0, k=0.5, g=g, v0=1.0)
     params = DeformationParams(q=0.99, w=0.5)
-    gravity_drag_velocity(dp, 0.7, params)
-    gravity_drag_velocity_series(dp, 0.7, params)
-    assert len(pair_calls) == 1
+    routes = resist._DragRoutes(dp, params, TruncationPolicy())
+    counts = []
+    values = []
+    for t in (0.7, 0.7, 1.3, 0.7):
+        values.append((t, routes.closed(t), routes.series(t)))
+        counts.append(len(pair_calls))
+    assert counts == [1, 1, 2, 3]
+    resist._DragRoutes(dp, params, TruncationPolicy()).closed(0.7)
+    assert len(pair_calls) == 4
+    # Each value is the one a fresh object gives.
+    for t, closed, series in values:
+        assert closed == gravity_drag_velocity(dp, t, params)
+        assert series == gravity_drag_velocity_series(dp, t, params)
 
 
-def test_homogeneous_factor_recomputed_for_other_arguments(pair_calls):
-    dp = DragParams(m=1.0, k=0.5, g=9.8, v0=1.0)
-    params = DeformationParams(q=0.9, w=0.5)
-    other_params = DeformationParams(q=0.8, w=0.5)
-    cases = [
-        (dp, 0.7, params, TruncationPolicy(tol=1e-6)),
-        (dp, 0.7, other_params, TruncationPolicy()),
-        (DragParams(m=2.0, k=0.5, g=9.8, v0=1.0), 0.7, other_params, TruncationPolicy()),
-        (dp, 1.3, other_params, TruncationPolicy()),
-    ]
-    gravity_drag_velocity(dp, 0.7, params)
-    evaluated = [gravity_drag_velocity(*case) for case in cases]
-    assert len(pair_calls) == 1 + len(cases)
-    fresh = []
-    for case in cases:
-        resist._homogeneous_pair.cache_clear()
-        fresh.append(gravity_drag_velocity(*case))
-    assert evaluated == fresh
+@pytest.mark.parametrize("g", [0.0, 9.8])
+def test_pole_of_the_reciprocal_factor_is_a_finite_point(g):
+    # At t = 6.2, kappa step = -1: e(kappa t) has a pole there, but it enters
+    # v only through its reciprocal, 0, and v is finite.  At t = -5.8,
+    # kappa step = 1: a factor of (kappa step; q)_inf vanishes, so
+    # e(-kappa t), which multiplies v, has a pole, and so has v.
+    dp = DragParams(m=1.0, k=0.5, g=g, v0=2.0)
+    rate = kappa(dp, P.q)
+    assert rate * lattice_step(6.2, P) == pytest.approx(-1.0, abs=1e-15)
+    with pytest.raises(PoleEncounteredError):
+        exp_qw(rate, 6.2, P)
+    iterated = gravity_drag_velocity_iterative(dp, 6.2, P)
+    assert iterated == (0.0 if g == 0.0 else pytest.approx(14.7, rel=1e-15))
+    for route in (gravity_drag_velocity, gravity_drag_velocity_series):
+        assert route(dp, 6.2, P) == pytest.approx(iterated, rel=1e-13, abs=1e-13)
+        with pytest.raises(PoleEncounteredError):
+            route(dp, -5.8, P)
+    with pytest.raises(ZeroFactorError):
+        gravity_drag_velocity_iterative(dp, -5.8, P)
+
+
+def test_iteration_where_kappa_underflows_is_the_undamped_fall():
+    # k/(m(1+q)) underflows to 0: there is no drag, v = v0 + g (t - w0), and
+    # the iteration's start radius is unbounded, not a division by zero.
+    dp = DragParams(m=1e300, k=1e-300, g=9.8, v0=1.0)
+    assert kappa(dp, P.q) == 0.0
+    for t in (0.0, 2.0):
+        expected = 1.0 + 9.8 * (t - P.w0)
+        assert gravity_drag_velocity_iterative(dp, t, P) == pytest.approx(expected, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
