@@ -29,22 +29,16 @@ The lattice sums weight * sum_k q^k f(q^k t + [k]_{q,w}) behind the Hahn
 integral and the kinematic fixed-point iteration are written once, in
 _lattice_sum, which also picks one of three routes per call.  The plain route
 sums term by term under the one rule, about log(tol/|weight f(t)|)/log q
-terms.  With d = t - w0 the sum is weight times the integral of
-r -> f(w0 + r d) against the measure sum_k q^k delta(r - q^k) on [0, 1], so
-the Gauss route evaluates f at the nodes of that measure's Gauss rule (the
-little q-Jacobi rule), 4, 8, 16 or 32 of them until two rules agree, a
-number that does not depend on q.  A few nodes do not average rounding the
-way many terms do, so the Gauss route is taken only where its rounding
-bound fits the value the caller returns, anchor and sum together.
-Otherwise, for f analytic at w0, the partial sum after K terms is a power
-series in r = q^K, and the extrapolated route sums blocks of terms at node
-ratio about 1/2 and extrapolates to r = 0 by Richardson; it needs a fixed
-number of blocks, but each holds about log(1/2)/log q terms.  Before the
-Gauss or extrapolated route accepts, a probe guard checks f at lattice
-points down to where the plain rule would stop against the polynomial
-through its nodes; a kink or other non-analytic point fails the guard and
-sends the call on, and in the end back to the plain route.  max_terms counts
-every evaluation of f, summed, probed or taken at a node.
+terms, and probes deeper lattice points before it stops.  With d = t - w0
+the sum is weight times the integral of r -> f(w0 + r d) against the measure
+sum_k q^k delta(r - q^k) on [0, 1], so the Gauss route evaluates f at the
+nodes of that measure's Gauss rule (the little q-Jacobi rule), 4 to 32 of
+them whatever q is.  A few nodes do not average rounding the way many terms
+do, so a sum that cancels against its anchor sums its first 3/(1 - q) terms
+one by one and leaves the Gauss rule only the rest, a twentieth of the
+lattice measure.  A probe guard checks f at lattice points against the
+polynomial through the rule's nodes; a kink or other non-analytic point
+sends the call to the plain route.  max_terms counts every evaluation of f.
 """
 
 from __future__ import annotations
@@ -54,8 +48,8 @@ import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, chain, count, islice
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import chain, count, islice
+from typing import Callable, Iterator
 
 from .errors import NonConvergentError, ZeroFactorWarning
 
@@ -106,33 +100,23 @@ CONSECUTIVE_SMALL = 3
 # fixed cost; near a tie either route is about as fast.
 LOG_SERIES_TERM_COST = 3.0
 
-# Node ratio of the extrapolated lattice sum: its blocks hold
-# L = ceil(log(LATTICE_NODE_RATIO)/log q) lattice terms, so successive nodes
-# r = q^K of the Richardson table lie at ratio rho = q^L <= 1/2.  A ratio near
-# 1/2 keeps the table well conditioned (its Lagrange weights at r = 0 sum to
-# at most 7.8 in absolute value at depth 6) while each node gains a factor of
-# two on the tail.
+# A block of the lattice holds L = ceil(log(LATTICE_NODE_RATIO)/log q) terms,
+# so r = q^k falls by rho = q^L <= 1/2 across it.  The Gauss route's probes
+# lie every two blocks, and a sum is long where it spans many blocks.
 LATTICE_NODE_RATIO = 0.5
 
-# Nodes in the Richardson table of the extrapolated lattice sum.  With D
-# nodes the extrapolant removes the tail's terms in r, ..., r^(D-1), so it is
-# exact for polynomial integrands up to degree D - 2 = 4; the probe guard
-# interpolates f through the same number of node values.
-LATTICE_TABLE_DEPTH = 6
+# A lattice sum is long, and the Gauss route is tried, where the plain route
+# would take more than six blocks (r down to 1/64) plus this many terms; a
+# shorter sum stays on the plain route, whose rule sees every term.
+LATTICE_LONG_SUM = 90.0
 
-# Cost of the extrapolated lattice sum beyond LATTICE_TABLE_DEPTH blocks, in
-# units of one term of the plain route: mostly its probe pass of about 20
-# evaluations, plus the per-block bookkeeping.  Timed with timeit (best of 7,
-# interleaved with the plain route) on CPython 3.11, 2 vCPUs, with linear and
-# quadratic integrands at q in [0.55, 0.95]: 75-120 plain terms of 250-450 ns
-# each.  Near the crossover, q about 0.7-0.75 at tol = 1e-14, either route is
-# about as fast.
-LATTICE_EXTRAPOLATION_COST = 90.0
-
-# The extrapolated route keeps the powers q^k of blocks of up to this many
-# terms (q up to about 0.9993) for the next sum at the same q: 64 blocks of
-# at most 1024 powers.  Computing them takes about as long as the terms.
-LATTICE_CACHED_BLOCK = 1024
+# The head-and-tail route sums the first M = ceil(LATTICE_HEAD_SPAN/(1 - q))
+# terms one by one, so that q^M <= e^-3 and the tail's Gauss rule carries at
+# most that share of the lattice measure: its rounding falls below the
+# half-ulp of the anchor.  On the kinematics benchmark panel (seed 0), heads
+# of 1/(1 - q) and 2/(1 - q) terms leave the iterative route 6.58e-13 and
+# 6.15e-13 off where this one leaves 3.47e-13.
+LATTICE_HEAD_SPAN = 3.0
 
 # Node counts of the Gauss rules of the lattice measure, tried in turn until
 # two successive rules agree.  The first is exact for polynomial integrands of
@@ -256,7 +240,13 @@ def _terms_until_small(
                 return summed
         else:
             small = 0
-    raise NonConvergentError(
+    raise _out_of_terms(policy, what, args)
+
+
+def _out_of_terms(
+    policy: TruncationPolicy, what: str, args: tuple[object, ...]
+) -> NonConvergentError:
+    return NonConvergentError(
         f"{what.format(*args)} did not meet its stopping rule within "
         f"{policy.max_terms} terms"
     )
@@ -299,21 +289,16 @@ def _lattice_sum(
     value returned for the Gauss route's tests.  Three routes, chosen after
     the first term weight * f(t):
 
-    * plain: the terms in ascending k under _sum_until_small, about
+    * plain (_lattice_plain): the terms in ascending k, about
       K_plain = log(tol/|weight f(t)|)/log q of them, a count that grows
       like 1/(1 - q).
-    * Gauss: the sum is weight times the integral of r -> f(w0 + r (t - w0))
-      against the measure sum_k q^k delta(r - q^k) on [0, 1], evaluated by
-      its Gauss rule at a number of nodes that does not depend on q (see
-      _lattice_gauss).  Tried when q > LATTICE_NODE_RATIO and either K_plain
-      exceeds LATTICE_TABLE_DEPTH blocks plus LATTICE_EXTRAPOLATION_COST or
-      the first term is already below tol, where the plain rule would stop
-      after CONSECUTIVE_SMALL terms whatever the rest of the sum holds.
-    * extrapolated: for f analytic at w0 the partial sum after K terms is a
-      power series in r = q^K, so its limit r -> 0 follows by Richardson
-      extrapolation from a q-independent number of blocks whose length grows
-      like 1/(1 - q) (see _lattice_extrapolated).  Taken where the Gauss
-      route was tried on a long sum and declined.
+    * Gauss (_lattice_gauss): a Gauss rule of the lattice measure, at a
+      number of nodes that does not depend on q.  Tried when
+      q > LATTICE_NODE_RATIO and either K_plain exceeds six blocks plus
+      LATTICE_LONG_SUM or the first term is already below tol, where the
+      plain rule would stop whatever the rest of the sum holds.
+    * head and tail (_lattice_head_tail): taken where the Gauss route was
+      tried on a long sum and declined for its rounding.
 
     An f that vanishes at t, or a weight of 0, stays plain.  Every
     evaluation of f, summed, probed or taken at a Gauss node, counts against
@@ -330,14 +315,16 @@ def _lattice_sum(
         log_q = math.log(q)
         k_plain = math.log(policy.tol / size) / log_q
         block = math.ceil(math.log(LATTICE_NODE_RATIO) / log_q)
-        long = k_plain > LATTICE_TABLE_DEPTH * block + LATTICE_EXTRAPOLATION_COST
+        long = k_plain > 6 * block + LATTICE_LONG_SUM
         if long or k_plain < 0.0:  # k_plain < 0: the first term is below tol
-            total, spent = _lattice_gauss(f, t, w0, q, weight, anchor, value, block, policy)
+            total, spent = _lattice_gauss(
+                f, t, w0, q, weight, anchor, 0.0, value, block, policy.tol, policy.max_terms - 1
+            )
             if total is not None:
                 return total, spent + 1, 0
             if long:
-                return _lattice_extrapolated(
-                    f, t, w0, q, weight, value, block, k_plain, spent, policy, what, args
+                return _lattice_head_tail(
+                    f, t, w0, q, weight, anchor, value, block, spent, policy, what, args
                 )
             return _lattice_plain([first], spent, f, t, w0, q, weight, policy, what, args)
     return _lattice_plain([first], 0, f, t, w0, q, weight, policy, what, args)
@@ -357,13 +344,86 @@ def _lattice_plain(
 ) -> tuple[float, int, int]:
     """The plain route of _lattice_sum, resumed after the terms already summed.
 
-    The summed terms are passed through the stopping rule again, so the
+    The terms go through _terms_until_small, the summed ones again, so the
     result is the one the plain route gives from k = 0; the spent
     evaluations outside them (probes, Gauss nodes) count against max_terms.
+    Small terms do not show that the rest is small: an f that vanishes on
+    the first lattice points but not near w0 would stop the sum at 0.  So
+    where the rule stops after K terms, the terms at depths 2K, 4K, ... are
+    probed down to where q^k |t - w0| < tol, O(log K) of them.  A probe of
+    at least tol makes the route sum every term down to it and apply the
+    rule again from there.
     """
+    tol = policy.tol
+    gap = abs(t - w0)
+    depth = math.log(tol / gap) / math.log(q) if tol < gap < math.inf else 0.0
     terms = chain(summed, _lattice_terms(f, len(summed), t, w0, q, weight))
-    total, used = _sum_until_small(terms, policy, what, *args, spent=spent)
-    return total, max(used, len(summed)) + spent, used
+    taken: list[float] = []
+    while True:
+        taken += _terms_until_small(terms, policy, what, *args, spent=spent + len(taken))
+        used = len(taken)
+        probe = 2 * used
+        while probe <= depth:
+            if spent + max(used, len(summed)) >= policy.max_terms:
+                raise _out_of_terms(policy, what, args)
+            spent += 1
+            qk = q**probe
+            if not abs(weight * qk * f(qk * t + w0 * (1.0 - qk))) < tol:
+                break
+            probe *= 2
+        else:
+            return math.fsum(taken), max(used, len(summed)) + spent, used
+        if spent + max(probe + 1, len(summed)) > policy.max_terms:
+            raise _out_of_terms(policy, what, args)
+        taken += islice(terms, probe + 1 - used)
+
+
+def _lattice_head_tail(
+    f: ScalarFunction,
+    t: float,
+    w0: float,
+    q: float,
+    weight: float,
+    anchor: float,
+    value: float,
+    block: int,
+    spent: int,
+    policy: TruncationPolicy,
+    what: str,
+    args: tuple[object, ...],
+) -> tuple[float, int, int]:
+    """The head-and-tail route of _lattice_sum, for a long sum that cancels
+    against its anchor; value is f(t).
+
+    The first M = ceil(LATTICE_HEAD_SPAN/(1 - q)) terms are summed exactly,
+    each from q^k by pow: a running product drifts by a rounding bias of its
+    own, about 1e-15 relative after a few hundred steps.  The tail, the same
+    sum from t_M = q^M t + w0 (1 - q^M) at weight weight q^M, goes to
+    _lattice_gauss anchored at anchor plus the head, with GAUSS_ROUNDING
+    eps |anchor| of slack: the rounding the caller's anchor already carries.
+    A declined tail, or a budget too small for the head, resumes the plain
+    route from the head terms; the spent evaluations count against max_terms.
+    """
+    m = math.ceil(LATTICE_HEAD_SPAN / (1.0 - q))
+    head = [weight * value]
+    if spent + m + 1 > policy.max_terms:
+        return _lattice_plain(head, spent, f, t, w0, q, weight, policy, what, args)
+    for k in range(1, m):
+        qk = q**k
+        head.append(weight * qk * f(qk * t + w0 * (1.0 - qk)))
+    q_m = q**m
+    t_m = q_m * t + w0 * (1.0 - q_m)
+    value_m = f(t_m)
+    budget = policy.max_terms - spent - m - 1
+    slack = GAUSS_ROUNDING * _EPSILON * abs(anchor)
+    tail_anchor = anchor + math.fsum(head)
+    tail, more = _lattice_gauss(
+        f, t_m, w0, q, weight * q_m, tail_anchor, slack, value_m, block, policy.tol, budget
+    )
+    if tail is None:
+        head.append(weight * q_m * value_m)
+        return _lattice_plain(head, spent + more, f, t, w0, q, weight, policy, what, args)
+    return math.fsum(head + [tail]), spent + m + 1 + more, m
 
 
 def _lattice_gauss(
@@ -373,9 +433,11 @@ def _lattice_gauss(
     q: float,
     weight: float,
     anchor: float,
+    slack: float,
     value: float,
     block: int,
-    policy: TruncationPolicy,
+    tol: float,
+    budget: int,
 ) -> tuple[float | None, int]:
     """The Gauss route of _lattice_sum; value is f(t).
 
@@ -386,29 +448,24 @@ def _lattice_gauss(
     measure (see _gauss_rule) gives weight * sum_i lambda_i g(x_i), exact for
     polynomial g of degree below 2n.  The rules of GAUSS_NODES are tried in
     turn.  A rule is taken once it differs from the one before by at most
-    tol |anchor + S|, the caller's value to the tolerance, and the probes
-    follow its nodes.
+    the bound tol |anchor + S| + slack, the caller's value to the tolerance
+    plus a rounding floor it already carries, and the probes follow its
+    nodes.  budget is the number of evaluations of f left past f(t).
 
-    Probe guard, as on the extrapolated route: g is evaluated once at the
-    lattice points k = 0, 2 block, 4 block, ... down to where the plain rule
-    would stop, and compared with the polynomial through the nodes of the
-    rule.  Each deviation is weighted by the share of the sum its stretch of
-    lattice carries, r (1 - rho^2)/(1 - q) |weight| with rho = q^block, and
-    the weighted total must stay within tol |anchor + S|.  That polynomial
-    has half the degree the rule integrates exactly, so for an analytic g
-    it can miss where the rule has already converged: a failed guard moves
-    on to the next rule, and the probes are compared again.
+    Probe guard: g is evaluated once at the lattice points k = 0, 2 block,
+    4 block, ... down to where the plain rule would stop, and compared with
+    the polynomial through the nodes of the rule.  Each deviation is
+    weighted by the share of the sum its stretch of lattice carries,
+    r (1 - rho^2)/(1 - q) |weight| with rho = q^block, and the weighted
+    total must stay within the bound.  That polynomial has half the degree
+    the rule integrates exactly, so a failed guard moves on to the next
+    rule, and the probes are compared again.
 
-    The route declines when
-    * the first rule's rounding bound, GAUSS_ROUNDING eps times
-      sum_i |weight lambda_i g(x_i)|, exceeds tol |anchor + S|: a few nodes
-      do not average rounding the way many lattice terms do, so a sum that
-      cancels against its anchor, or within itself, goes elsewhere;
-    * the rules run out before one is taken;
-    * max_terms does not cover the next rule or the probes.
+    The route declines when the first rule's rounding bound, GAUSS_ROUNDING
+    eps sum_i |weight lambda_i g(x_i)|, exceeds the bound (a few nodes do
+    not average rounding as many terms do), when the rules run out before
+    one is taken, or when the budget does not cover a rule or the probes.
     """
-    tol = policy.tol
-    budget = policy.max_terms - 1
     d = t - w0
     spent = 0
     previous = None
@@ -423,7 +480,7 @@ def _lattice_gauss(
             return None, spent
         products = list(map(operator.mul, weights, values))
         total = weight * math.fsum(products)
-        bound = tol * abs(anchor + total)
+        bound = tol * abs(anchor + total) + slack
         if previous is None:
             rounding = GAUSS_ROUNDING * _EPSILON * abs(weight) * math.fsum(map(abs, products))
             if not rounding <= bound:
@@ -438,199 +495,20 @@ def _lattice_gauss(
                 spent += count
                 rho = q**block
                 share = (1.0 - q) / ((1.0 - rho * rho) * abs(weight))
-            points, rows = _gauss_probe_rows(q, size, block, _row_bucket(count))
+            # The row table is built for count rounded up to a multiple of 32,
+            # so that the probes of most sums at one q share one cached table.
+            points, rows = _gauss_probe_rows(q, size, block, -(-count // 32) * 32)
             if probed is None:
                 probed = [value] + [f(r * t + w0 * (1.0 - r)) for r in points[1 : count + 1]]
-            if _probe_deviation(points, rows, probed, values) <= bound * share:
+            # sum_j |g(r_j) - p(r_j)| r_j, with p the polynomial through the nodes.
+            deviation = math.fsum(
+                abs(fr - sum(map(operator.mul, row, values))) * r
+                for r, row, fr in zip(points, rows, probed)
+            )
+            if deviation <= bound * share:
                 return _gauss_sum(weight, weights, values), spent
         previous = total
     return None, spent
-
-
-def _lattice_extrapolated(
-    f: ScalarFunction,
-    t: float,
-    w0: float,
-    q: float,
-    weight: float,
-    value: float,
-    block: int,
-    k_plain: float,
-    spent: int,
-    policy: TruncationPolicy,
-    what: str,
-    args: tuple[object, ...],
-) -> tuple[float, int, int]:
-    """The extrapolated route of _lattice_sum; value is f(t).
-
-    Terms are summed in blocks of `block`, so that the partial sums S_n after
-    n blocks sit at nodes r_n = rho^n with rho = q^block.  The extrapolant
-    E_n is the value at r = 0 of the polynomial through the last
-    min(n + 1, LATTICE_TABLE_DEPTH) nodes (r_i, S_i), a Richardson table in
-    r.  It is formed relative to the newest partial sum, as the tail
-    correction E_n - S_n = -sum_j G_j B_j over the newest block sums B_j
-    (see _richardson_weights), so no large number is subtracted.  The table
-    has converged when two successive extrapolants differ by at most
-    tol * max(1, |S_n|).
-
-    Probe guard: the extrapolation assumes the tail follows the nodes.
-    Before accepting, f is evaluated at the lattice points k = n*block,
-    (n+2)*block, ... (every rho^2 in r) down to where the plain rule would
-    stop, and compared with the polynomial in r through the last node values
-    of f.  Each deviation is weighted by the share of the sum its stretch of
-    lattice carries, r (1 - rho^2)/(1 - q) |weight|, and the weighted total
-    must stay within the same bound.  A failed guard, a table that has not
-    converged where the plain rule would stop, or a budget too small for the
-    next block or the probe pass sends the call to the plain route for good.
-    The spent evaluations made before this route count against max_terms.
-    The accepted sum is fsum of the summed terms and the products G_j B_j,
-    so its rounding stays at the plain route's level.
-    """
-    tol = policy.tol
-    budget = policy.max_terms - spent
-    rho = q**block
-    terms: list[float] = []
-    node_f: list[float] = []
-    block_sums: list[float] = []
-    previous = 0.0  # E_(n-1) - S_(n-1)
-    partial = 0.0
-    n = 0
-    while n * block < k_plain and len(terms) + block <= budget:
-        start = n * block
-        powers = _block_powers(q, start, block)
-        head = powers[0]
-        head_f = value if start == 0 else f(head * t + w0 * (1.0 - head))
-        node_f.append(head_f)
-        new = [weight * head * head_f]
-        new += [weight * qk * f(qk * t + w0 * (1.0 - qk)) for qk in powers[1:]]
-        terms += new
-        block_sums.append(math.fsum(new))
-        partial += block_sums[-1]
-        n += 1
-        order = min(n, LATTICE_TABLE_DEPTH - 1)
-        weights = _richardson_weights(rho, order)
-        parts = [-g * b for g, b in zip(weights, block_sums[-order:])]
-        correction = math.fsum(parts)
-        bound = tol * max(1.0, abs(partial))
-        if n >= 2 and abs(block_sums[-1] + correction - previous) <= bound:
-            scale = max(map(abs, node_f)) * abs(weight)
-            stop = math.log(tol / scale) / math.log(q)
-            probes = range(n * block, math.floor(stop) + 1, 2 * block)
-            if len(terms) + len(probes) > budget:
-                break
-            limit = bound * (1.0 - q) / ((1.0 - rho * rho) * abs(weight))
-            spent += len(probes)
-            depth = min(n, LATTICE_TABLE_DEPTH)
-            rows = _geometric_probe_rows(rho, depth, _row_bucket(len(probes)))
-            points = [q**k for k in probes]
-            probed = [f(r * t + w0 * (1.0 - r)) for r in points]
-            if not _probe_deviation(points, rows, probed, node_f[-depth:]) <= limit:
-                return _lattice_plain(terms, spent, f, t, w0, q, weight, policy, what, args)
-            summed = len(terms)
-            return math.fsum(terms + parts), summed + spent, summed
-        previous = correction
-    return _lattice_plain(terms, spent, f, t, w0, q, weight, policy, what, args)
-
-
-def _block_powers(q: float, start: int, block: int) -> Sequence[float]:
-    """q^k for start <= k < start + block, each by pow.
-
-    Each power is taken by pow rather than as a running product, which
-    drifts by a rounding bias of its own, about 1e-15 relative after a few
-    hundred steps, that the extrapolation would carry into the tail.  Every
-    lattice sum at one q walks the same blocks, so blocks of up to
-    LATTICE_CACHED_BLOCK powers are kept; that bounds what the cache holds.
-    """
-    if block > LATTICE_CACHED_BLOCK:
-        return [q**k for k in range(start, start + block)]
-    return _cached_block_powers(q, start, block)
-
-
-@lru_cache(maxsize=64)
-def _cached_block_powers(q: float, start: int, block: int) -> tuple[float, ...]:
-    return tuple([q**k for k in range(start, start + block)])
-
-
-@lru_cache(maxsize=128)
-def _richardson_weights(rho: float, order: int) -> tuple[float, ...]:
-    """Weights G_j with E_n - S_n = -sum_j G_j B_(n-order+j), j < order.
-
-    E_n is the value at r = 0 of the polynomial through the order + 1
-    newest nodes (r_i, S_i), r_i = rho^i r_0, and B are the newest block
-    sums.  G_j = l_0 + ... + l_j sums the Lagrange weights
-    l_i = prod_(k != i) 1/(1 - rho^(i-k)) of the oldest nodes.  They are
-    formed exactly in integers from rho = N/D and rounded once, because every
-    sum at this rho shares their rounding: in double arithmetic they carry
-    errors of 2-7 ulp, a bias of up to about 1e-15 relative to the sum.
-    """
-    num, den = rho.as_integer_ratio()
-    gaps = [den**j - num**j for j in range(1, order + 1)]  # D^j (1 - rho^j)
-    pochhammer = list(accumulate(gaps, operator.mul, initial=1))
-    top = pochhammer[order]
-    numerators = [
-        (-1) ** (order - i)
-        * den ** (i * (i + 1) // 2)
-        * num ** ((order - i) * (order - i + 1) // 2)
-        * (top // pochhammer[i])
-        * (top // pochhammer[order - i])
-        for i in range(order)
-    ]
-    return tuple(g / (top * top) for g in accumulate(numerators))
-
-
-def _probe_deviation(
-    points: Iterable[float],
-    rows: Iterable[tuple[float, ...]],
-    probed: list[float],
-    values: list[float],
-) -> float:
-    """sum_j |probed_j - p(r_j)| r_j over the probe points r_j.
-
-    p(r_j) = sum_i row_i values_i is the polynomial through a route's node
-    values at r_j, from one row of Lagrange weights per probe; probed holds
-    f at the lattice points of the r_j.
-    """
-    return math.fsum(
-        abs(fr - sum(map(operator.mul, row, values))) * r
-        for r, row, fr in zip(points, rows, probed)
-    )
-
-
-def _lagrange_rows(
-    nodes: tuple[float, ...], points: list[float]
-) -> tuple[tuple[float, ...], ...]:
-    """The Lagrange basis of nodes at each point, one row per point.
-
-    Formed in the barycentric form with weights 1/prod_(j != i)(x_i - x_j).
-    """
-    bary = [1.0 / math.prod([xi - xj for xj in nodes if xj != xi]) for xi in nodes]
-    rows = []
-    for r in points:
-        if r in nodes:
-            rows.append(tuple(float(x == r) for x in nodes))
-            continue
-        row = [b / (r - x) for b, x in zip(bary, nodes)]
-        total = sum(row)
-        rows.append(tuple(v / total for v in row))
-    return tuple(rows)
-
-
-def _row_bucket(count: int) -> int:
-    """count rounded up to a multiple of 32, so that the probe rows of most
-    sums at one q come from one cached table."""
-    return -(-count // 32) * 32
-
-
-@lru_cache(maxsize=256)
-def _geometric_probe_rows(rho: float, depth: int, count: int) -> tuple[tuple[float, ...], ...]:
-    """Rows of the extrapolated route's guard at count probes past its depth nodes.
-
-    The nodes r_i = r_0 rho^i, i < depth, and the probes r_0 rho^(depth + 2j)
-    scale together with r_0, which the Lagrange basis does not see, so the
-    rows are those of the nodes rho^i at rho^(depth + 2j).
-    """
-    nodes = tuple(rho**i for i in range(depth))
-    return _lagrange_rows(nodes, [rho ** (depth + 2 * j) for j in range(count)])
 
 
 @lru_cache(maxsize=64)
@@ -747,10 +625,20 @@ def _gauss_probe_rows(
 ) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
     """The probe points r_j = q^(2 block j), j = 0, ..., count, of the Gauss
     route's guard, and at each the Lagrange basis of the nodes of
-    _gauss_rule(q, size)."""
+    _gauss_rule(q, size), in the barycentric form with weights
+    1/prod_(j != i)(x_i - x_j)."""
     nodes, _ = _gauss_rule(q, size)
     points = tuple(q ** (2 * block * j) for j in range(count + 1))
-    return points, _lagrange_rows(nodes, points)
+    bary = [1.0 / math.prod([xi - xj for xj in nodes if xj != xi]) for xi in nodes]
+    rows = []
+    for r in points:
+        if r in nodes:
+            rows.append(tuple(float(x == r) for x in nodes))
+            continue
+        row = [b / (r - x) for b, x in zip(bary, nodes)]
+        total = sum(row)
+        rows.append(tuple(v / total for v in row))
+    return points, tuple(rows)
 
 
 def _gauss_sum(weight: float, lambdas: tuple[float, ...], values: list[float]) -> float:
@@ -1087,9 +975,9 @@ def hahn_integral(
     rule of the lattice measure instead: for a polynomial f that takes at
     most 60 evaluations whatever q is, probes included.  It assumes f
     analytic on [w0, t] and checks that with probes of f down to the plain
-    route's depth; a sum that cancels within itself, or fails the probes,
-    goes to the extrapolated route, and from there back to the plain route
-    when its own probes disagree.
+    route's depth; a sum that cancels within itself sums its first
+    3/(1 - q) terms one by one and only the rest by the rule, and a sum that
+    fails the probes goes back to the plain route.
 
     Every evaluation of f counts against max_terms; raises
     NonConvergentError if they run out before the plain stopping rule is met.

@@ -73,15 +73,16 @@ class IterationReport:
     |t_K - w0| = q**K |t - w0| for the first lattice point
     t_K = q^K t + [K]_{q,w} whose increment was not summed term by term.
 
-    When the plain route is taken from the start, every evaluation is a
-    summed increment, K = steps and residual = q**steps * |t - w0|.  On the
-    Gauss route no increment is summed term by term: K = 0 and
-    residual = |t - w0|, while steps counts the evaluations at the rule's
-    nodes and the probes.  On the extrapolated route the series from t_K on
-    is extrapolated, and steps also counts the probes of the right-hand side
-    that checked it, and the nodes of a Gauss rule tried before it, so
-    K <= steps.  The same holds when failed probes send a call back to the
-    plain route.
+    On the plain route K is the number of increments summed, and steps also
+    counts the probes past them that confirmed the stop; with no probe,
+    K = steps and residual = q**steps * |t - w0|.  On the Gauss route no
+    increment is summed term by term: K = 0 and residual = |t - w0|, while
+    steps counts the evaluations at the rule's nodes and the probes.  On the
+    head-and-tail route K = ceil(3/(1 - q)) increments are summed and the
+    series from t_K on is taken by the Gauss rule, so residual =
+    q**K |t - w0|, and steps also counts the nodes and probes of the rule
+    declined on the whole sum and of the one on the tail: K < steps.  When a
+    declined rule sends a call back to the plain route, K <= steps likewise.
     """
 
     value: float
@@ -171,12 +172,12 @@ def iterate_first_order(
     evaluates rhs at the nodes of the Gauss rule of the lattice measure, a
     number of them that does not depend on q.  It is taken only where its
     rounding fits the value returned: anchor, x_at_w0 unless given, is what
-    the caller adds to the sum, and a sum that cancels against it goes to the
-    extrapolated route, which sums a fixed number of blocks of increments
-    and extrapolates the tail.  Both assume rhs analytic at w0, and probes
-    of rhs down to the plain route's depth check that and send the call on,
-    in the end back to the plain route, when they disagree.  See
-    IterationReport for what steps and residual mean on each route.
+    the caller adds to the sum, and a sum that cancels against it sums its
+    first ceil(3/(1 - q)) increments one by one and takes only the rest by
+    the rule.  The rule assumes rhs analytic at w0, and probes of rhs down
+    to the plain route's depth check that and send the call back to the
+    plain route when they disagree.  See IterationReport for what steps and
+    residual mean on each route.
 
     Every evaluation of rhs counts against policy.max_terms; raises
     NonConvergentError if they run out before the plain stopping rule is met.

@@ -335,6 +335,8 @@ def _gravity_drag_series_terms(
         q_int += qn
         term *= ratio * (1.0 + qn) / q_int
         qn *= q
+
+
 def classical_drag_velocity(dp: DragParams, t: float) -> float:
     """Undeformed resisted fall: v0 e^(-kt/m) + (mg/k)(1 - e^(-kt/m)).
 

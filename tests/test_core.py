@@ -454,12 +454,14 @@ def test_integral_nonconvergent_on_tiny_budget():
 
 # Each entry point with every term after the first zero, and the budget it
 # needs: CONSECUTIVE_SMALL zero terms, plus the leading 1 of an exponential.
-# At t = w0 = 0 the drag series' exponential factors are exactly 1.
+# At t = w0 = 0 the drag series' exponential factors are exactly 1.  The
+# lattice sums from t = 1 also probe the depths 6, 12 and 24, short of 46,
+# where q^k |t - w0| = 2^-k falls below tol.
 JACKSON = DeformationParams(q=0.5)
 BUDGETS = {
     "hahn_integral": (
         lambda policy: hahn_integral(lambda s: 0.0, 1.0, JACKSON, policy),
-        CONSECUTIVE_SMALL,
+        CONSECUTIVE_SMALL + 3,
     ),
     "exp_q_series": (
         lambda policy: exp_q_series(0.0, 0.5, policy),
@@ -475,7 +477,7 @@ BUDGETS = {
     ),
     "iterate_first_order": (
         lambda policy: iterate_first_order(lambda s: 0.0, 1.0, JACKSON, 0.0, policy),
-        CONSECUTIVE_SMALL,
+        CONSECUTIVE_SMALL + 3,
     ),
     "gravity_drag_velocity_series": (
         lambda policy: gravity_drag_velocity_series(

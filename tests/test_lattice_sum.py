@@ -1,12 +1,11 @@
 """The three routes of the lattice sum behind hahn_integral and iterate_first_order.
 
 The kink and jump tests pin the probe guards.  The Gauss rules never agree
-on a kink, but an integrand with a kink near w0 looks linear at the
-extrapolation nodes, and without its probes the extrapolated route accepts
-a wrong tail.  A jump closer to w0 than every Gauss node leaves the rules in
-agreement on a sum that misses it, and only the probes see it.  Their
-references are exact, in rationals, as are those of the polynomial sums up
-to q = 0.99999.
+on a kink.  A jump closer to w0 than every Gauss node leaves the rules in
+agreement on a sum that misses it, and only the probes see it.  A step that
+leaves f zero on the first lattice points is seen only by the plain route's
+probes.  Their references are exact, in rationals, as are those of the
+polynomial sums up to q = 0.99999.
 """
 
 import math
@@ -28,7 +27,7 @@ from hahncalc import (
 
 # A trajectory whose anchor x(w0), about 5000 at q = 0.99 and w = 1, cancels
 # against the lattice sum down to x(t) of about 1: the Gauss route declines
-# it for its rounding, and the extrapolated route sums it.
+# it for its rounding, and the head-and-tail route sums it.
 ANCHORED_STATE = KinematicState(x0=0.0, v0=0.0, a=1.0)
 
 
@@ -135,6 +134,16 @@ def test_jump_between_the_gauss_nodes_is_caught_by_the_probes(q, t):
     assert float(abs(Fraction(value) - ref) / max(1, abs(ref))) < 1e-12
 
 
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+def test_zero_prefix_is_not_taken_for_a_zero_sum(q):
+    # f is 0 on the first lattice points from t = 1.9 and 1 once they pass
+    # below 0.3, so the plain rule meets three zero terms first.  The exact
+    # sum is 1.9 q^K, with K the first k with q^k 1.9 < 0.3.
+    value = hahn_integral(lambda s: 1.0 if s < 0.3 else 0.0, 1.9, DeformationParams(q=q))
+    ref = jump_integral(0.3, 1.9, q) - Fraction(1.9)
+    assert rel_gap(value, ref) < 1e-12
+
+
 @pytest.mark.parametrize(
     "f, q, gauss",
     [
@@ -149,32 +158,37 @@ def test_route_choice(f, q, gauss, gauss_calls):
 
 
 @pytest.mark.parametrize("anchored", [False, True])
-def test_anchor_decides_between_gauss_and_extrapolated(anchored, gauss_calls, monkeypatch):
-    extrapolated = spy_on(monkeypatch, "_lattice_extrapolated")
+def test_anchor_decides_between_gauss_and_head_tail(anchored, gauss_calls, monkeypatch):
+    head_tail = spy_on(monkeypatch, "_lattice_head_tail")
     params = DeformationParams(q=0.99, w=1.0)
     rhs = accel_quotient_velocity(ANCHORED_STATE, params)
     x_w0 = position_at_fixed_point(ANCHORED_STATE, params) if anchored else 0.0
     iterate_first_order(rhs, 1.3, params, x_w0)
-    [(total, spent)] = gauss_calls
-    assert (total is None) == anchored
-    assert bool(extrapolated) == anchored
+    assert bool(head_tail) == anchored
     if anchored:
-        # Declined for its rounding on the first rule, before any doubling.
+        # Declined for its rounding on the first rule, before any doubling;
+        # the tail past the head is then taken by the rules.
+        [(declined, spent), (tail, _)] = gauss_calls
+        assert declined is None
         assert spent == core.GAUSS_NODES[0]
+        assert tail is not None
+    else:
+        [(total, _)] = gauss_calls
+        assert total is not None
 
 
-def test_extrapolated_route_needs_a_fifth_of_the_plain_evaluations(monkeypatch):
+def test_head_tail_route_needs_a_fifth_of_the_plain_evaluations(monkeypatch):
     # The anchored sum, which the Gauss route declines after its first rule.
     params = DeformationParams(q=0.99, w=1.0)
     x_w0 = position_at_fixed_point(ANCHORED_STATE, params)
     rhs, points = counted(accel_quotient_velocity(ANCHORED_STATE, params))
-    extrapolated = iterate_first_order(rhs, 1.3, params, x_w0).value
+    head_tail = iterate_first_order(rhs, 1.3, params, x_w0).value
     used = len(points)
     points.clear()
-    monkeypatch.setattr(core, "LATTICE_EXTRAPOLATION_COST", math.inf)
+    monkeypatch.setattr(core, "LATTICE_LONG_SUM", math.inf)
     plain = iterate_first_order(rhs, 1.3, params, x_w0).value
     assert used < len(points) / 5
-    assert extrapolated == pytest.approx(plain, rel=1e-12)
+    assert head_tail == pytest.approx(plain, rel=1e-12)
 
 
 @pytest.mark.parametrize("q", [0.9, 0.99, 0.999])
@@ -185,16 +199,14 @@ def test_iteration_steps_count_every_evaluation(q):
     report = iterate_first_order(rhs, 1.3, params, 0.0)
     assert report.steps == len(points)
     assert report.residual == abs(1.3 - params.w0)
-    # Anchored to cancel, the extrapolated route sums the first K increments,
-    # a whole number of blocks, and extrapolates the tail before the probes.
+    # Anchored to cancel, the head-and-tail route sums the first
+    # K = ceil(3/(1 - q)) increments and takes the tail by the Gauss rules.
     points.clear()
     x_w0 = -report.value * (1.0 - 1e-3)
     report = iterate_first_order(rhs, 1.3, params, x_w0)
     assert report.steps == len(points)
     summed = round(math.log(report.residual / abs(1.3 - params.w0)) / math.log(q))
-    block = math.ceil(math.log(0.5) / math.log(q))
-    assert summed > 0
-    assert summed % block == 0
+    assert summed == math.ceil(3.0 / (1.0 - q))
     assert summed < report.steps
     assert report.residual == pytest.approx(q**summed * abs(1.3 - params.w0), rel=1e-12)
 
@@ -256,6 +268,23 @@ def test_budget_counts_summed_and_probed_evaluations():
         iterate_first_order(quadratic, 1.3, params, 0.0, TruncationPolicy(max_terms=used - 1))
     with pytest.raises(NonConvergentError):
         hahn_integral(quadratic, 1.3, params, TruncationPolicy(max_terms=used - 1))
+
+
+def test_budget_counts_probes_past_the_stop_and_the_head():
+    # The plain route past a failed probe, and the head-and-tail route with
+    # the rule declined on the whole sum and the one on its tail.
+    params = DeformationParams(q=0.99, w=1.0)
+    anchored = accel_quotient_velocity(ANCHORED_STATE, params)
+    x_w0 = position_at_fixed_point(ANCHORED_STATE, params)
+    cases = [
+        (lambda s: 1.0 if s < 0.3 else 0.0, 1.9, DeformationParams(q=0.9), 0.0),
+        (anchored, 1.3, params, x_w0),
+    ]
+    for rhs, t, p, x in cases:
+        report = iterate_first_order(rhs, t, p, x)
+        assert iterate_first_order(rhs, t, p, x, TruncationPolicy(max_terms=report.steps)) == report
+        with pytest.raises(NonConvergentError):
+            iterate_first_order(rhs, t, p, x, TruncationPolicy(max_terms=report.steps - 1))
 
 
 @pytest.mark.parametrize("size", [4, 8, 16, 24, 32])

@@ -16,6 +16,7 @@ from hahncalc import (
     DeformationParams,
     DragParams,
     KinematicState,
+    accel_quotient_velocity,
     exp_qw,
     gravity_drag_velocity,
     gravity_drag_velocity_iterative,
@@ -23,6 +24,7 @@ from hahncalc import (
     hahn_integral,
     iterate_first_order,
     odd_part_qinv,
+    position_at_fixed_point,
     q_shifted_factorial_inf,
     solve_second_order_constant_accel,
 )
@@ -260,9 +262,8 @@ SMOOTH_CASES = [
 @pytest.mark.parametrize("q", [0.9, 0.99, 0.999, 0.9999, 0.99999])
 def test_smooth_lattice_sums_near_the_classical_limit(q, case):
     # exp(2s) and 1/(1.3 - s), the latter with its pole at least 1/0.7 times
-    # |t - w0| away from w0.  The extrapolated route ran out of max_terms
-    # from q of about 0.99998; both calls here are unanchored and take the
-    # Gauss route.
+    # |t - w0| away from w0.  Both calls here are unanchored and take the
+    # Gauss route, whose cost does not grow with 1/(1 - q).
     f, ref_integral = SMOOTH_CASES[case]
     worst = 0.0
     for w0 in (0.0, 0.2):
@@ -287,6 +288,25 @@ def test_iterate_first_order_against_oracle(q):
             report = iterate_first_order(rhs, t, params, x_at_w0=0.0)
             worst = max(worst, rel_err(report.value, ref))
     assert worst < BOUND
+
+
+@pytest.mark.parametrize("w", [0.25, 1.0])
+@pytest.mark.parametrize("q", [0.9, 0.99, 0.999])
+def test_anchored_iteration_against_oracle(q, w):
+    # x(t) = t^2/(1+q) from its anchor x(w0) = w0^2/(1+q), which reaches 5e5
+    # at q = 0.999, w = 1 while x(t) stays below 2.  The lattice sum cancels
+    # against the anchor, whose own rounding, about eps |x(w0)|, is the
+    # floor the bound allows twice over.
+    params = DeformationParams(q=q, w=w)
+    state = KinematicState(x0=0.0, v0=0.0, a=1.0)
+    rhs = accel_quotient_velocity(state, params)
+    x_w0 = position_at_fixed_point(state, params)
+    worst = 0.0
+    for i in range(40):
+        t = 0.1 + i * (1.8 / 39)
+        ref = mp.mpf(t) ** 2 / (1 + mp.mpf(q))
+        worst = max(worst, rel_err(iterate_first_order(rhs, t, params, x_w0).value, ref))
+    assert worst < 2 * 2.0**-52 * abs(x_w0)
 
 
 def test_second_order_route_against_oracle_near_the_classical_limit():
