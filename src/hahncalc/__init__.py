@@ -8,121 +8,82 @@ closed-form, series, and independent fixed-point-iteration solvers for
 every trajectory so the routes can be checked against each other.
 """
 
-from .core import (
-    CENTRAL_DIFF_STEP,
-    CONSECUTIVE_SMALL,
-    DEFAULT_POLICY,
-    ZERO_FACTOR_TOL,
-    DeformationParams,
-    ScalarFunction,
-    TruncationPolicy,
-    advance,
-    advance_n,
-    hahn_derivative,
-    hahn_integral,
-    lattice_step,
-    q_factorial,
-    q_inv_factorial,
-    q_number,
-    q_shifted_factorial,
-    q_shifted_factorial_inf,
-    qw_number,
-    qw_polynomial,
-)
-from .errors import (
-    HahnCalcError,
-    NonConvergentError,
-    OutOfRadiusError,
-    PoleEncounteredError,
-    ZeroFactorError,
-    ZeroFactorWarning,
-)
-from .kinematics import (
-    IterationReport,
-    KinematicState,
-    accel_quotient_velocity,
-    iterate_first_order,
-    position_at_fixed_point,
-    solve_second_order_constant_accel,
-    uniform_accel_position,
-    uniform_accel_velocity,
-    uniform_velocity_position,
-)
-from .qexp import exp_q_series, exp_qinv_series, exp_qw, odd_part_qinv
-from .resist import (
-    DragParams,
-    classical_drag_velocity,
-    gravity_drag_velocity,
-    gravity_drag_velocity_iterative,
-    gravity_drag_velocity_series,
-    gravity_kernel_iteration_sum,
-    gravity_kernel_resummed,
-    kappa,
-)
-from .table import TrajectoryTable
+from importlib import import_module
 
 __version__ = "0.1.0"
 
+# The public names of each submodule.  A name is imported on first use, so
+# `import hahncalc` loads no submodule and a caller pays only for the
+# modules it uses.
+_EXPORTS = {
+    "core": (
+        "CENTRAL_DIFF_STEP",
+        "CONSECUTIVE_SMALL",
+        "DEFAULT_POLICY",
+        "ZERO_FACTOR_TOL",
+        "DeformationParams",
+        "ScalarFunction",
+        "TruncationPolicy",
+        "advance",
+        "advance_n",
+        "hahn_derivative",
+        "hahn_integral",
+        "lattice_step",
+        "q_factorial",
+        "q_inv_factorial",
+        "q_number",
+        "q_shifted_factorial",
+        "q_shifted_factorial_inf",
+        "qw_number",
+        "qw_polynomial",
+    ),
+    "errors": (
+        "HahnCalcError",
+        "NonConvergentError",
+        "OutOfRadiusError",
+        "PoleEncounteredError",
+        "ZeroFactorError",
+        "ZeroFactorWarning",
+    ),
+    "identities": ("IdentityResult", "run_suite"),
+    "kinematics": (
+        "IterationReport",
+        "KinematicState",
+        "accel_quotient_velocity",
+        "iterate_first_order",
+        "position_at_fixed_point",
+        "solve_second_order_constant_accel",
+        "uniform_accel_position",
+        "uniform_accel_velocity",
+        "uniform_velocity_position",
+    ),
+    "qexp": ("exp_q_series", "exp_qinv_series", "exp_qw", "odd_part_qinv"),
+    "resist": (
+        "DragParams",
+        "classical_drag_velocity",
+        "gravity_drag_velocity",
+        "gravity_drag_velocity_iterative",
+        "gravity_drag_velocity_series",
+        "gravity_kernel_iteration_sum",
+        "gravity_kernel_resummed",
+        "kappa",
+    ),
+    "table": ("TrajectoryTable",),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_SUBMODULE]
+
 
 def __getattr__(name: str) -> object:
-    # The identity suite is imported on first use: most callers, the CLI's
-    # table commands among them, never need it.
-    if name in ("IdentityResult", "run_suite"):
-        from . import identities
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
 
-        return getattr(identities, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SUBMODULE})
 
-__all__ = [
-    "__version__",
-    "CENTRAL_DIFF_STEP",
-    "CONSECUTIVE_SMALL",
-    "DEFAULT_POLICY",
-    "ZERO_FACTOR_TOL",
-    "DeformationParams",
-    "ScalarFunction",
-    "TruncationPolicy",
-    "advance",
-    "advance_n",
-    "hahn_derivative",
-    "hahn_integral",
-    "lattice_step",
-    "q_factorial",
-    "q_inv_factorial",
-    "q_number",
-    "q_shifted_factorial",
-    "q_shifted_factorial_inf",
-    "qw_number",
-    "qw_polynomial",
-    "HahnCalcError",
-    "NonConvergentError",
-    "OutOfRadiusError",
-    "PoleEncounteredError",
-    "ZeroFactorError",
-    "ZeroFactorWarning",
-    "IdentityResult",
-    "run_suite",
-    "IterationReport",
-    "KinematicState",
-    "accel_quotient_velocity",
-    "iterate_first_order",
-    "position_at_fixed_point",
-    "solve_second_order_constant_accel",
-    "uniform_accel_position",
-    "uniform_accel_velocity",
-    "uniform_velocity_position",
-    "exp_q_series",
-    "exp_qinv_series",
-    "exp_qw",
-    "odd_part_qinv",
-    "DragParams",
-    "classical_drag_velocity",
-    "gravity_drag_velocity",
-    "gravity_drag_velocity_iterative",
-    "gravity_drag_velocity_series",
-    "gravity_kernel_iteration_sum",
-    "gravity_kernel_resummed",
-    "kappa",
-    "TrajectoryTable",
-]

@@ -19,7 +19,10 @@ Subcommands:
 
 kinematics and drag are a one-point sweep without the q and w columns: all
 three table commands run through one path, driven by the BASES registry of
-route names and per-command setups.
+route names and per-command setups.  Importing this module loads only
+errors from the package: each function imports the modules it runs, so a
+drag run never loads kinematics and a kinematics run never loads resist or
+qexp.
 
 Tables go to standard output as CSV (with a '# key=value' metadata header)
 or as a single JSON object with --format json; diagnostics go to standard
@@ -34,20 +37,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Callable, NoReturn, Sequence
+from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
 
-from .core import DEFAULT_POLICY, DeformationParams, TruncationPolicy
 from .errors import NonConvergentError, PoleEncounteredError, ZeroFactorError
-from .kinematics import (
-    KinematicState,
-    accel_quotient_velocity,
-    iterate_first_order,
-    position_at_fixed_point,
-    solve_second_order_constant_accel,
-    uniform_accel_position,
-)
-from .resist import DragParams, _DragRoutes, classical_drag_velocity
-from .table import FLAG_NONCONVERGENT, FLAG_OK, FLAG_POLE, TrajectoryTable
+
+if TYPE_CHECKING:
+    from .core import DeformationParams, TruncationPolicy
+    from .table import TrajectoryTable
 
 __all__ = ["main", "build_parser"]
 
@@ -58,8 +54,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY_FAIL = 2
 EXIT_EMPTY_COLUMN = 3
-
-_SEVERITY = {FLAG_OK: 0, FLAG_NONCONVERGENT: 1, FLAG_POLE: 2}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,6 +87,8 @@ def _add_time_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_output_args(parser: argparse.ArgumentParser) -> None:
+    from .core import DEFAULT_POLICY
+
     parser.add_argument(
         "--tol",
         type=float,
@@ -203,6 +199,8 @@ def _time_grid(args: argparse.Namespace, parser: _Parser) -> list[float]:
 def _lattice_params(q: float | None, w: float | None, parser: _Parser) -> DeformationParams:
     if q is None:
         parser.error("--q is required (directly or via --sweep q=...)")
+    from .core import DeformationParams
+
     try:
         return DeformationParams(q, 0.0 if w is None else w)
     except ValueError as exc:
@@ -210,6 +208,8 @@ def _lattice_params(q: float | None, w: float | None, parser: _Parser) -> Deform
 
 
 def _policy(args: argparse.Namespace, parser: _Parser) -> TruncationPolicy:
+    from .core import TruncationPolicy
+
     try:
         return TruncationPolicy(tol=args.tol, max_terms=args.max_terms)
     except ValueError as exc:
@@ -242,6 +242,9 @@ def _evaluate_block(
     that runs out, an overflow or a non-finite value empties it with flag
     nonconvergent.  A row takes the most severe flag of its cells.
     """
+    from .table import FLAG_NONCONVERGENT, FLAG_OK, FLAG_POLE
+
+    severity = {FLAG_OK: 0, FLAG_NONCONVERGENT: 1, FLAG_POLE: 2}
     columns: dict[str, list[float | None]] = {name: [] for name in route_names}
     cells = [(columns[name], evaluators[name]) for name in route_names]
     flags: list[str] = []
@@ -259,7 +262,7 @@ def _evaluate_block(
                 if not math.isfinite(value):
                     value, cell_flag = None, FLAG_NONCONVERGENT
             column.append(value)
-            if _SEVERITY[cell_flag] > _SEVERITY[row_flag]:
+            if severity[cell_flag] > severity[row_flag]:
                 row_flag = cell_flag
         flags.append(row_flag)
     return columns, flags
@@ -283,12 +286,21 @@ def _agreement_metadata(
     return out
 
 
-_Evaluators = Callable[[DeformationParams], dict[str, Callable[[float], float]]]
+_Evaluators = Callable[["DeformationParams"], dict[str, Callable[[float], float]]]
 
 
 def _kinematics_setup(
     args: argparse.Namespace, parser: _Parser, policy: TruncationPolicy
 ) -> tuple[dict[str, object], _Evaluators]:
+    from .kinematics import (
+        KinematicState,
+        accel_quotient_velocity,
+        iterate_first_order,
+        position_at_fixed_point,
+        solve_second_order_constant_accel,
+        uniform_accel_position,
+    )
+
     try:
         state = KinematicState(args.x0, args.v0, args.a)
     except ValueError as exc:
@@ -314,6 +326,8 @@ def _kinematics_setup(
 def _drag_setup(
     args: argparse.Namespace, parser: _Parser, policy: TruncationPolicy
 ) -> tuple[dict[str, object], _Evaluators]:
+    from .resist import DragParams, _DragRoutes, classical_drag_velocity
+
     try:
         dp = DragParams(m=args.m, k=args.k, g=args.g, v0=args.v0)
     except ValueError as exc:
@@ -378,6 +392,8 @@ def _cmd_table(args: argparse.Namespace, parser: _Parser) -> tuple[TrajectoryTab
     kinematics and drag are a one-block sweep whose table has no q and w
     columns and records q, w and w0 in place of the sweep metadata.
     """
+    from .table import TrajectoryTable
+
     _, routes, _, setup = BASES[args.base]
     sweeping = args.command == "sweep"
     policy = _policy(args, parser)

@@ -39,6 +39,8 @@ one by one and leaves the Gauss rule only the rest, a twentieth of the
 lattice measure.  A probe guard checks f at lattice points against the
 polynomial through the rule's nodes; a kink or other non-analytic point
 sends the call to the plain route.  max_terms counts every evaluation of f.
+The Gauss and head-and-tail routes live in the private module _gauss, which
+_lattice_sum imports the first time it tries the rule.
 """
 
 from __future__ import annotations
@@ -46,11 +48,10 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain, count, islice
 from typing import Callable, Iterator
 
+from ._record import FrozenRecord
 from .errors import NonConvergentError, ZeroFactorWarning
 
 __all__ = [
@@ -110,36 +111,12 @@ LATTICE_NODE_RATIO = 0.5
 # shorter sum stays on the plain route, whose rule sees every term.
 LATTICE_LONG_SUM = 90.0
 
-# The head-and-tail route sums the first M = ceil(LATTICE_HEAD_SPAN/(1 - q))
-# terms one by one, so that q^M <= e^-3 and the tail's Gauss rule carries at
-# most that share of the lattice measure: its rounding falls below the
-# half-ulp of the anchor.  On the kinematics benchmark panel (seed 0), heads
-# of 1/(1 - q) and 2/(1 - q) terms leave the iterative route 6.58e-13 and
-# 6.15e-13 off where this one leaves 3.47e-13.
-LATTICE_HEAD_SPAN = 3.0
-
-# Node counts of the Gauss rules of the lattice measure, tried in turn until
-# two successive rules agree.  The first is exact for polynomial integrands of
-# degree up to 7, so a quadratic is settled by the first pair.
-GAUSS_NODES = (4, 8, 16, 32)
-
-# Rounding of the Gauss route in units of the double epsilon, per unit of
-# sum_i |weight lambda_i f_i|: the rule's nodes and weights are correctly
-# rounded, each f_i carries the rounding of its point and of f, and each
-# lambda_i f_i and the final product round once.
-GAUSS_ROUNDING = 4.0
-
-# The Gauss rules are built in integers scaled by 2^GAUSS_BITS, and an
-# off-diagonal entry of their Jacobi matrix below 2^-GAUSS_SPLIT_BITS counts
-# as zero: far below the rounding of a double, far above that of the integers.
-GAUSS_BITS = 120
-GAUSS_SPLIT_BITS = 100
-
-_EPSILON = 2.0**-52
-_BELOW_ONE = 1.0 - 2.0**-53
-
 # _two_product splits its factors exactly only below this magnitude.
 _SPLIT_LIMIT = 2.0**996
+
+# The module of the Gauss and head-and-tail routes, imported by _lattice_sum
+# on the first sum that tries the rule.
+_gauss = None
 
 
 def _check_q(q: float) -> None:
@@ -152,8 +129,7 @@ def _check_count(k: int, name: str = "k") -> None:
         raise ValueError(f"{name} must be a nonnegative integer, got {k!r}")
 
 
-@dataclass(frozen=True)
-class DeformationParams:
+class DeformationParams(FrozenRecord):
     """Deformation parameters (q, w) and the derived fixed point w0.
 
     Constraints: 0 < q < 1 strictly and w >= 0, both finite, and w0 finite.
@@ -163,23 +139,22 @@ class DeformationParams:
     w0 past the double range would empty every route anchored there.
     """
 
-    q: float
-    w: float = 0.0
-    w0: float = field(init=False)
+    __slots__ = ("q", "w", "w0")
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.q) or not 0.0 < self.q < 1.0:
-            raise ValueError(f"q must be finite and strictly inside (0, 1), got {self.q!r}")
-        if not math.isfinite(self.w) or self.w < 0.0:
-            raise ValueError(f"w must be finite and nonnegative, got {self.w!r}")
-        w0 = self.w / (1.0 - self.q)
+    def __init__(self, q: float, w: float = 0.0) -> None:
+        if not math.isfinite(q) or not 0.0 < q < 1.0:
+            raise ValueError(f"q must be finite and strictly inside (0, 1), got {q!r}")
+        if not math.isfinite(w) or w < 0.0:
+            raise ValueError(f"w must be finite and nonnegative, got {w!r}")
+        w0 = w / (1.0 - q)
         if not math.isfinite(w0):
-            raise ValueError(f"w0 = w/(1-q) must be finite, got w={self.w!r}, q={self.q!r}")
+            raise ValueError(f"w0 = w/(1-q) must be finite, got w={w!r}, q={q!r}")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "w", w)
         object.__setattr__(self, "w0", w0)
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(FrozenRecord):
     """Stopping contract for infinite sums and products.
 
     tol is an absolute term/factor threshold; max_terms bounds the terms
@@ -188,14 +163,15 @@ class TruncationPolicy:
     NonConvergentError; there is no silent partial result.
     """
 
-    tol: float = 1e-14
-    max_terms: int = 100_000
+    __slots__ = ("tol", "max_terms")
 
-    def __post_init__(self) -> None:
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be a positive integer, got {self.max_terms!r}")
+    def __init__(self, tol: float = 1e-14, max_terms: int = 100_000) -> None:
+        if not tol > 0.0:
+            raise ValueError(f"tol must be positive, got {tol!r}")
+        if max_terms < 1:
+            raise ValueError(f"max_terms must be a positive integer, got {max_terms!r}")
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "max_terms", max_terms)
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -292,13 +268,13 @@ def _lattice_sum(
     * plain (_lattice_plain): the terms in ascending k, about
       K_plain = log(tol/|weight f(t)|)/log q of them, a count that grows
       like 1/(1 - q).
-    * Gauss (_lattice_gauss): a Gauss rule of the lattice measure, at a
-      number of nodes that does not depend on q.  Tried when
+    * Gauss (_gauss._lattice_gauss): a Gauss rule of the lattice measure,
+      at a number of nodes that does not depend on q.  Tried when
       q > LATTICE_NODE_RATIO and either K_plain exceeds six blocks plus
       LATTICE_LONG_SUM or the first term is already below tol, where the
       plain rule would stop whatever the rest of the sum holds.
-    * head and tail (_lattice_head_tail): taken where the Gauss route was
-      tried on a long sum and declined for its rounding.
+    * head and tail (_gauss._lattice_head_tail): taken where the Gauss
+      route was tried on a long sum and declined for its rounding.
 
     An f that vanishes at t, or a weight of 0, stays plain.  Every
     evaluation of f, summed, probed or taken at a Gauss node, counts against
@@ -306,6 +282,7 @@ def _lattice_sum(
     what.format(*args), when it runs out before the plain stopping rule is
     met.
     """
+    global _gauss
     q = params.q
     w0 = params.w0
     value = f(t)
@@ -317,13 +294,15 @@ def _lattice_sum(
         block = math.ceil(math.log(LATTICE_NODE_RATIO) / log_q)
         long = k_plain > 6 * block + LATTICE_LONG_SUM
         if long or k_plain < 0.0:  # k_plain < 0: the first term is below tol
-            total, spent = _lattice_gauss(
+            if _gauss is None:
+                from . import _gauss
+            total, spent = _gauss._lattice_gauss(
                 f, t, w0, q, weight, anchor, 0.0, value, block, policy.tol, policy.max_terms - 1
             )
             if total is not None:
                 return total, spent + 1, 0
             if long:
-                return _lattice_head_tail(
+                return _gauss._lattice_head_tail(
                     f, t, w0, q, weight, anchor, value, block, spent, policy, what, args
                 )
             return _lattice_plain([first], spent, f, t, w0, q, weight, policy, what, args)
@@ -376,281 +355,6 @@ def _lattice_plain(
         if spent + max(probe + 1, len(summed)) > policy.max_terms:
             raise _out_of_terms(policy, what, args)
         taken += islice(terms, probe + 1 - used)
-
-
-def _lattice_head_tail(
-    f: ScalarFunction,
-    t: float,
-    w0: float,
-    q: float,
-    weight: float,
-    anchor: float,
-    value: float,
-    block: int,
-    spent: int,
-    policy: TruncationPolicy,
-    what: str,
-    args: tuple[object, ...],
-) -> tuple[float, int, int]:
-    """The head-and-tail route of _lattice_sum, for a long sum that cancels
-    against its anchor; value is f(t).
-
-    The first M = ceil(LATTICE_HEAD_SPAN/(1 - q)) terms are summed exactly,
-    each from q^k by pow: a running product drifts by a rounding bias of its
-    own, about 1e-15 relative after a few hundred steps.  The tail, the same
-    sum from t_M = q^M t + w0 (1 - q^M) at weight weight q^M, goes to
-    _lattice_gauss anchored at anchor plus the head, with GAUSS_ROUNDING
-    eps |anchor| of slack: the rounding the caller's anchor already carries.
-    A declined tail, or a budget too small for the head, resumes the plain
-    route from the head terms; the spent evaluations count against max_terms.
-    """
-    m = math.ceil(LATTICE_HEAD_SPAN / (1.0 - q))
-    head = [weight * value]
-    if spent + m + 1 > policy.max_terms:
-        return _lattice_plain(head, spent, f, t, w0, q, weight, policy, what, args)
-    for k in range(1, m):
-        qk = q**k
-        head.append(weight * qk * f(qk * t + w0 * (1.0 - qk)))
-    q_m = q**m
-    t_m = q_m * t + w0 * (1.0 - q_m)
-    value_m = f(t_m)
-    budget = policy.max_terms - spent - m - 1
-    slack = GAUSS_ROUNDING * _EPSILON * abs(anchor)
-    tail_anchor = anchor + math.fsum(head)
-    tail, more = _lattice_gauss(
-        f, t_m, w0, q, weight * q_m, tail_anchor, slack, value_m, block, policy.tol, budget
-    )
-    if tail is None:
-        head.append(weight * q_m * value_m)
-        return _lattice_plain(head, spent + more, f, t, w0, q, weight, policy, what, args)
-    return math.fsum(head + [tail]), spent + m + 1 + more, m
-
-
-def _lattice_gauss(
-    f: ScalarFunction,
-    t: float,
-    w0: float,
-    q: float,
-    weight: float,
-    anchor: float,
-    slack: float,
-    value: float,
-    block: int,
-    tol: float,
-    budget: int,
-) -> tuple[float | None, int]:
-    """The Gauss route of _lattice_sum; value is f(t).
-
-    Returns (sum, evaluations of f past f(t)), or (None, evaluations) when
-    the route declines and another must be taken.  With d = t - w0 and
-    g(r) = f(w0 + r d), the sum is weight * sum_k q^k g(q^k), the integral of
-    g against the lattice measure, and the n-point Gauss rule of that
-    measure (see _gauss_rule) gives weight * sum_i lambda_i g(x_i), exact for
-    polynomial g of degree below 2n.  The rules of GAUSS_NODES are tried in
-    turn.  A rule is taken once it differs from the one before by at most
-    the bound tol |anchor + S| + slack, the caller's value to the tolerance
-    plus a rounding floor it already carries, and the probes follow its
-    nodes.  budget is the number of evaluations of f left past f(t).
-
-    Probe guard: g is evaluated once at the lattice points k = 0, 2 block,
-    4 block, ... down to where the plain rule would stop, and compared with
-    the polynomial through the nodes of the rule.  Each deviation is
-    weighted by the share of the sum its stretch of lattice carries,
-    r (1 - rho^2)/(1 - q) |weight| with rho = q^block, and the weighted
-    total must stay within the bound.  That polynomial has half the degree
-    the rule integrates exactly, so a failed guard moves on to the next
-    rule, and the probes are compared again.
-
-    The route declines when the first rule's rounding bound, GAUSS_ROUNDING
-    eps sum_i |weight lambda_i g(x_i)|, exceeds the bound (a few nodes do
-    not average rounding as many terms do), when the rules run out before
-    one is taken, or when the budget does not cover a rule or the probes.
-    """
-    d = t - w0
-    spent = 0
-    previous = None
-    probed = None
-    for size in GAUSS_NODES:
-        if spent + size > budget:
-            return None, spent
-        nodes, weights = _gauss_rule(q, size)
-        values = [f(w0 + x * d) for x in nodes]
-        spent += size
-        if not max(map(abs, values)) < _SPLIT_LIMIT:
-            return None, spent
-        products = list(map(operator.mul, weights, values))
-        total = weight * math.fsum(products)
-        bound = tol * abs(anchor + total) + slack
-        if previous is None:
-            rounding = GAUSS_ROUNDING * _EPSILON * abs(weight) * math.fsum(map(abs, products))
-            if not rounding <= bound:
-                return None, spent
-        elif abs(total - previous) <= bound:
-            if probed is None:
-                scale = max(abs(value), max(map(abs, values))) * abs(weight)
-                stop = math.floor(math.log(tol / scale) / math.log(q)) if scale > tol else 0
-                count = stop // (2 * block)  # probes past k = 0
-                if spent + count > budget:
-                    return None, spent
-                spent += count
-                rho = q**block
-                share = (1.0 - q) / ((1.0 - rho * rho) * abs(weight))
-            # The row table is built for count rounded up to a multiple of 32,
-            # so that the probes of most sums at one q share one cached table.
-            points, rows = _gauss_probe_rows(q, size, block, -(-count // 32) * 32)
-            if probed is None:
-                probed = [value] + [f(r * t + w0 * (1.0 - r)) for r in points[1 : count + 1]]
-            # sum_j |g(r_j) - p(r_j)| r_j, with p the polynomial through the nodes.
-            deviation = math.fsum(
-                abs(fr - sum(map(operator.mul, row, values))) * r
-                for r, row, fr in zip(points, rows, probed)
-            )
-            if deviation <= bound * share:
-                return _gauss_sum(weight, weights, values), spent
-        previous = total
-    return None, spent
-
-
-@lru_cache(maxsize=64)
-def _gauss_rule(q: float, size: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Nodes x_i in (0, 1) and weights lambda_i > 0 of the size-point Gauss rule
-    for the measure sum_k q^k delta(r - q^k) on [0, 1].
-
-    The rule integrates r^j exactly, to 1/(1 - q^(j+1)), for j < 2 size.
-    Its orthogonal polynomials are the little q-Jacobi polynomials with
-    a = b = 1 (Koekoek, Lesky & Swarttouw, Hypergeometric Orthogonal
-    Polynomials and Their q-Analogues, 14.12), whose Jacobi matrix has
-    diagonal A_n + C_n and off-diagonal sqrt(A_(n-1) C_n), with
-
-        A_n = q^n (1 - q^(n+1))^2 / ((1 - q^(2n+1)) (1 - q^(2n+2))),
-        C_n = q^n (1 - q^n)^2 / ((1 - q^(2n)) (1 - q^(2n+1))),   C_0 = 0,
-
-    and mass mu_0 = 1/(1 - q).  Following Golub & Welsch (Math. Comp. 23,
-    1969), the nodes are its eigenvalues and the weights mu_0 times the
-    squared first components of its unit eigenvectors (see _implicit_ql).
-
-    Everything is computed in integers scaled by 2^GAUSS_BITS from the exact
-    binary q, so each 1 - q^m is exact to the last of those bits at any q,
-    and nodes and weights come out correctly rounded or nearly: QL in double
-    leaves the weights off by up to 8e-16 mu_0, which a sum over a few nodes
-    would carry.  A node whose nearest double is 1 is put at the double below
-    it, where the exact node lies.  Cached per (q, size); building the
-    4- and 8-point rules takes about 0.7 ms, the 32-point rule about 6 ms.
-    """
-    one = 1 << GAUSS_BITS
-    num, den = q.as_integer_ratio()
-    scaled_q = (num << GAUSS_BITS) // den
-    power = [one]
-    for _ in range(2 * size):
-        power.append(power[-1] * scaled_q >> GAUSS_BITS)
-    gap = [one - p for p in power]  # 1 - q^m
-    a = [
-        power[n] * gap[n + 1] * gap[n + 1] // (gap[2 * n + 1] * gap[2 * n + 2])
-        for n in range(size)
-    ]
-    c = [0] + [
-        power[n] * gap[n] * gap[n] // (gap[2 * n] * gap[2 * n + 1]) for n in range(1, size)
-    ]
-    diag = [an + cn for an, cn in zip(a, c)]
-    off = [math.isqrt(a[n - 1] * c[n]) for n in range(1, size)] + [0]
-    first = [one] + [0] * (size - 1)
-    _implicit_ql(diag, off, first)
-    pairs = sorted(zip(diag, first))
-    nodes = tuple(min(x / one, _BELOW_ONE) for x, _ in pairs)
-    weights = tuple(z * z / (gap[1] << GAUSS_BITS) for _, z in pairs)
-    return nodes, weights
-
-
-def _implicit_ql(diag: list[int], off: list[int], first: list[int]) -> None:
-    """Diagonalize a symmetric tridiagonal matrix in place by implicit QL.
-
-    The entries are integers scaled by 2^GAUSS_BITS.  diag holds the
-    diagonal and off the off-diagonal followed by one 0; first is a row
-    vector.  On return diag holds the eigenvalues and first that row times
-    the eigenvectors; off is spent.  This is the QL iteration with implicit
-    Wilkinson shifts of EISPACK's imtql2, applying the plane rotations to
-    the one row the Golub-Welsch weights need.  An off-diagonal entry below
-    2^(GAUSS_BITS - GAUSS_SPLIT_BITS) counts as zero.  Raises
-    ArithmeticError after 60 sweeps on one eigenvalue.
-    """
-    bits = GAUSS_BITS
-    one_squared = 1 << (2 * bits)
-    small = 1 << (bits - GAUSS_SPLIT_BITS)
-    n = len(diag)
-    for low in range(n):
-        for _ in range(60):
-            m = low
-            while m < n - 1 and abs(off[m]) > small:
-                m += 1
-            if m == low:
-                break
-            g = ((diag[low + 1] - diag[low]) << bits) // (2 * off[low])
-            r = math.isqrt(g * g + one_squared)
-            g = diag[m] - diag[low] + (off[low] << bits) // (g + r if g >= 0 else g - r)
-            s = c = 1 << bits
-            p = 0
-            for i in range(m - 1, low - 1, -1):
-                f = s * off[i] >> bits
-                b = c * off[i] >> bits
-                if abs(g) <= abs(f):
-                    c = (g << bits) // f
-                    r = math.isqrt(c * c + one_squared)
-                    off[i + 1] = f * r >> bits
-                    s = one_squared // r
-                    c = c * s >> bits
-                else:
-                    s = (f << bits) // g
-                    r = math.isqrt(s * s + one_squared)
-                    off[i + 1] = g * r >> bits
-                    c = one_squared // r
-                    s = s * c >> bits
-                g = diag[i + 1] - p
-                r = ((diag[i] - g) * s + 2 * c * b) >> bits
-                p = s * r >> bits
-                diag[i + 1] = g + p
-                g = (c * r >> bits) - b
-                f = first[i + 1]
-                first[i + 1] = (s * first[i] + c * f) >> bits
-                first[i] = (c * first[i] - s * f) >> bits
-            diag[low] -= p
-            off[low] = g
-            off[m] = 0
-        else:
-            raise ArithmeticError("implicit QL did not converge")
-
-
-@lru_cache(maxsize=128)
-def _gauss_probe_rows(
-    q: float, size: int, block: int, count: int
-) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
-    """The probe points r_j = q^(2 block j), j = 0, ..., count, of the Gauss
-    route's guard, and at each the Lagrange basis of the nodes of
-    _gauss_rule(q, size), in the barycentric form with weights
-    1/prod_(j != i)(x_i - x_j)."""
-    nodes, _ = _gauss_rule(q, size)
-    points = tuple(q ** (2 * block * j) for j in range(count + 1))
-    bary = [1.0 / math.prod([xi - xj for xj in nodes if xj != xi]) for xi in nodes]
-    rows = []
-    for r in points:
-        if r in nodes:
-            rows.append(tuple(float(x == r) for x in nodes))
-            continue
-        row = [b / (r - x) for b, x in zip(bary, nodes)]
-        total = sum(row)
-        rows.append(tuple(v / total for v in row))
-    return points, tuple(rows)
-
-
-def _gauss_sum(weight: float, lambdas: tuple[float, ...], values: list[float]) -> float:
-    """weight * sum_i lambda_i v_i, rounded twice in all.
-
-    Each lambda_i v_i is split exactly into two doubles (_two_product) and
-    the pieces summed exactly rounded before the one product by weight.
-    """
-    pieces: list[float] = []
-    for lam, v in zip(lambdas, values):
-        pieces += _two_product(lam, v)
-    return weight * math.fsum(pieces)
 
 
 def q_number(k: int, q: float) -> float:

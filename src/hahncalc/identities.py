@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ._record import FrozenRecord
 from .core import (
     DeformationParams,
     advance,
@@ -59,14 +59,16 @@ _W0_CLEARANCE = 0.3
 _MAX_DRAWS = 10_000
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(FrozenRecord):
     """Outcome of one identity check over the whole (q, w) grid."""
 
-    name: str
-    max_residual: float
-    tolerance: float
-    cases: int
+    __slots__ = ("name", "max_residual", "tolerance", "cases")
+
+    def __init__(self, name: str, max_residual: float, tolerance: float, cases: int) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "max_residual", max_residual)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "cases", cases)
 
     @property
     def passed(self) -> bool:

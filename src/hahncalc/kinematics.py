@@ -23,8 +23,8 @@ trajectory's value is pinned by x(w0) = x0 + v0 w0 + a w0^2/(1+q).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import FrozenRecord
 from .core import (
     DEFAULT_POLICY,
     DeformationParams,
@@ -49,23 +49,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KinematicState:
+class KinematicState(FrozenRecord):
     """Initial data of a one-dimensional trajectory: x(0), v(0), and a."""
 
-    x0: float
-    v0: float
-    a: float
+    __slots__ = ("x0", "v0", "a")
 
-    def __post_init__(self) -> None:
-        for name in ("x0", "v0", "a"):
-            value = getattr(self, name)
+    def __init__(self, x0: float, v0: float, a: float) -> None:
+        for name, value in (("x0", x0), ("v0", v0), ("a", a)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class IterationReport:
+class IterationReport(FrozenRecord):
     """Result of a lattice iteration.
 
     value is the computed x(t); steps is the number of evaluations of the
@@ -85,9 +81,12 @@ class IterationReport:
     declined rule sends a call back to the plain route, K <= steps likewise.
     """
 
-    value: float
-    steps: int
-    residual: float
+    __slots__ = ("value", "steps", "residual")
+
+    def __init__(self, value: float, steps: int, residual: float) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "residual", residual)
 
 
 def uniform_velocity_position(state: KinematicState, t: float) -> float:

@@ -42,10 +42,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterator
 
+from ._record import FrozenRecord
 from .core import (
     DEFAULT_POLICY,
     ZERO_FACTOR_HEAD,
@@ -85,8 +85,7 @@ __all__ = [
 SERIES_START = 2.0
 
 
-@dataclass(frozen=True)
-class DragParams:
+class DragParams(FrozenRecord):
     """Physical data of the resisted fall.
 
     m is the mass, k the drag coefficient (force per unit velocity), g the
@@ -94,20 +93,17 @@ class DragParams:
     lattice fixed point.
     """
 
-    m: float
-    k: float
-    g: float
-    v0: float
+    __slots__ = ("m", "k", "g", "v0")
 
-    def __post_init__(self) -> None:
-        for name in ("m", "k", "g", "v0"):
-            value = getattr(self, name)
+    def __init__(self, m: float, k: float, g: float, v0: float) -> None:
+        for name, value in (("m", m), ("k", k), ("g", g), ("v0", v0)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.m <= 0.0:
-            raise ValueError(f"m must be positive, got {self.m!r}")
-        if self.k <= 0.0:
-            raise ValueError(f"k must be positive, got {self.k!r}")
+            object.__setattr__(self, name, value)
+        if m <= 0.0:
+            raise ValueError(f"m must be positive, got {m!r}")
+        if k <= 0.0:
+            raise ValueError(f"k must be positive, got {k!r}")
 
 
 def kappa(dp: DragParams, q: float) -> float:

@@ -17,7 +17,7 @@ first JSON rendering, so CSV runs never load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from ._record import Record
 
 __all__ = ["TrajectoryTable", "FLAG_OK", "FLAG_POLE", "FLAG_NONCONVERGENT"]
 
@@ -51,13 +51,23 @@ def _format_value(value: object) -> str:
     return str(value)
 
 
-@dataclass
-class TrajectoryTable:
-    """Columns, reproduction metadata, and per-row status flags."""
+class TrajectoryTable(Record):
+    """Columns, reproduction metadata, and per-row status flags.
 
-    columns: dict[str, list[float | None]]
-    metadata: dict[str, object] = field(default_factory=dict)
-    flags: list[str] = field(default_factory=list)
+    metadata and flags default to a new empty dict and list.
+    """
+
+    __slots__ = ("columns", "metadata", "flags")
+
+    def __init__(
+        self,
+        columns: dict[str, list[float | None]],
+        metadata: dict[str, object] | None = None,
+        flags: list[str] | None = None,
+    ) -> None:
+        self.columns = columns
+        self.metadata = {} if metadata is None else metadata
+        self.flags = [] if flags is None else flags
 
     def validate(self) -> None:
         """Check the structural invariants before rendering.

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from hahncalc import core
+from hahncalc import _gauss, core
 from hahncalc import (
     DeformationParams,
     KinematicState,
@@ -47,16 +47,16 @@ def counted(f):
 
 
 def spy_on(monkeypatch, name):
-    """Record the results of each call of the core function name."""
+    """Record the results of each call of the _gauss route name."""
     results = []
-    original = getattr(core, name)
+    original = getattr(_gauss, name)
 
     def spy(*args):
         result = original(*args)
         results.append(result)
         return result
 
-    monkeypatch.setattr(core, name, spy)
+    monkeypatch.setattr(_gauss, name, spy)
     return results
 
 
@@ -170,7 +170,7 @@ def test_anchor_decides_between_gauss_and_head_tail(anchored, gauss_calls, monke
         # the tail past the head is then taken by the rules.
         [(declined, spent), (tail, _)] = gauss_calls
         assert declined is None
-        assert spent == core.GAUSS_NODES[0]
+        assert spent == _gauss.GAUSS_NODES[0]
         assert tail is not None
     else:
         [(total, _)] = gauss_calls
@@ -294,7 +294,7 @@ def test_gauss_rule_integrates_monomials(q, size):
     # rounded nodes and weights leave at most about (j + 1)/2 ulp.  A
     # bisection and Christoffel construction in double broke down from q = 0.8,
     # size = 24 on.
-    nodes, weights = core._gauss_rule(q, size)
+    nodes, weights = _gauss._gauss_rule(q, size)
     assert all(0.0 < x < 1.0 for x in nodes)
     assert all(lam > 0.0 for lam in weights)
     exact_q = Fraction(q)
