@@ -8,10 +8,12 @@ Subcommands:
   routes.  Each route solves the one equation of motion for every --g;
   --g 0 is pure drag.  The iterative route stops by its own rule (see
   resist), within the --max-terms budget.  Each (q, w) block builds one
-  route object (resist._DragRoutes), so the lattice constants are formed
-  once per block and a row's closed and series cells share one evaluation
-  of e_{q,w}(-+kappa t).  Cells are flagged pole only at poles of v, those
-  of e_{q,w}(-kappa t); at a pole of e_{q,w}(kappa t) v is finite.
+  route object (resist._DragRoutes), so the lattice constants and the
+  (a; q)_inf kernel are formed once per block and a row's closed and
+  series cells share one evaluation of e_{q,w}(-+kappa t); the classical
+  column's constants are formed once per table.  Cells are flagged pole
+  only at poles of v, those of e_{q,w}(-kappa t); at a pole of
+  e_{q,w}(kappa t) v is finite.
 * verify: run the randomized identity suite and print one line per
   identity with its worst residual and pass/fail status.
 * sweep: run kinematics or drag over swept q and/or w values in long
@@ -25,8 +27,11 @@ drag run never loads kinematics and a kinematics run never loads resist or
 qexp.
 
 Tables go to standard output as CSV (with a '# key=value' metadata header)
-or as a single JSON object with --format json; diagnostics go to standard
-error.  Identical invocations produce byte-identical output.
+or as a single JSON object with --format json, rendered column by column
+(see table); diagnostics go to standard error.  Identical invocations
+produce byte-identical output.  Time and sweep grids need finite bounds
+and strictly increasing samples, and --tol a finite positive value, or the
+command is a usage error.
 
 Exit codes: 0 success; 1 usage error; 2 identity verification failure;
 3 a requested output column came out entirely empty.
@@ -188,12 +193,27 @@ def _linspace(start: float, stop: float, count: int) -> list[float]:
     return values
 
 
+def _grid(start: float, stop: float, count: int, what: str, parser: _Parser) -> list[float]:
+    """_linspace(start, stop, count), or a usage error unless it is a usable grid.
+
+    Both bounds must be finite, and the samples must increase strictly: a
+    step that underflows to 0 or overflows to inf breaks that even where
+    stop > start.
+    """
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        parser.error(f"{what} bounds must be finite, got {start!r} and {stop!r}")
+    values = _linspace(start, stop, count)
+    if not all(b > a for a, b in zip(values, values[1:])):
+        parser.error(f"{count} {what} samples from {start!r} to {stop!r} do not increase strictly")
+    return values
+
+
 def _time_grid(args: argparse.Namespace, parser: _Parser) -> list[float]:
     if args.samples < 1:
         parser.error("--samples must be at least 1")
     if args.samples > 1 and not args.t_end > args.t_start:
         parser.error("--t-end must exceed --t-start when --samples > 1")
-    return _linspace(args.t_start, args.t_end, args.samples)
+    return _grid(args.t_start, args.t_end, args.samples, "time", parser)
 
 
 def _lattice_params(q: float | None, w: float | None, parser: _Parser) -> DeformationParams:
@@ -246,22 +266,24 @@ def _evaluate_block(
 
     severity = {FLAG_OK: 0, FLAG_NONCONVERGENT: 1, FLAG_POLE: 2}
     columns: dict[str, list[float | None]] = {name: [] for name in route_names}
-    cells = [(columns[name], evaluators[name]) for name in route_names]
+    cells = [(columns[name].append, evaluators[name]) for name in route_names]
+    isfinite = math.isfinite
     flags: list[str] = []
     for t in ts:
         row_flag = FLAG_OK
-        for column, fn in cells:
+        for append, fn in cells:
             try:
                 value = fn(t)
             except (PoleEncounteredError, ZeroFactorError):
-                value, cell_flag = None, FLAG_POLE
+                cell_flag = FLAG_POLE
             except (NonConvergentError, OverflowError):
-                value, cell_flag = None, FLAG_NONCONVERGENT
+                cell_flag = FLAG_NONCONVERGENT
             else:
-                cell_flag = FLAG_OK
-                if not math.isfinite(value):
-                    value, cell_flag = None, FLAG_NONCONVERGENT
-            column.append(value)
+                if isfinite(value):
+                    append(value)
+                    continue
+                cell_flag = FLAG_NONCONVERGENT
+            append(None)
             if severity[cell_flag] > severity[row_flag]:
                 row_flag = cell_flag
         flags.append(row_flag)
@@ -326,12 +348,13 @@ def _kinematics_setup(
 def _drag_setup(
     args: argparse.Namespace, parser: _Parser, policy: TruncationPolicy
 ) -> tuple[dict[str, object], _Evaluators]:
-    from .resist import DragParams, _DragRoutes, classical_drag_velocity
+    from .resist import DragParams, _classical_route, _DragRoutes
 
     try:
         dp = DragParams(m=args.m, k=args.k, g=args.g, v0=args.v0)
     except ValueError as exc:
         parser.error(str(exc))
+    classical = _classical_route(dp)  # the same for every (q, w)
 
     def evaluators(params: DeformationParams) -> dict[str, Callable[[float], float]]:
         routes = _DragRoutes(dp, params, policy)
@@ -339,7 +362,7 @@ def _drag_setup(
             "closed": routes.closed,
             "series": routes.series,
             "iterative": routes.iterative,
-            "classical": lambda t: classical_drag_velocity(dp, t),
+            "classical": classical,
         }
 
     return {"m": dp.m, "k": dp.k, "g": dp.g, "v0": dp.v0}, evaluators
@@ -382,7 +405,7 @@ def _parse_sweeps(
             parser.error("sweep COUNT must be at least 1")
         if count > 1 and not stop > start:
             parser.error("sweep STOP must exceed START when COUNT > 1")
-        sweeps[name] = (grid, _linspace(start, stop, count))
+        sweeps[name] = (grid, _grid(start, stop, count, f"sweep {name}", parser))
     return sweeps
 
 
@@ -462,8 +485,8 @@ def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
     for q in q_grid:
         if not 0.0 < q < 1.0:
             parser.error(f"--q-grid entries must lie in (0,1), got {q!r}")
-    if args.tol is not None and args.tol <= 0.0:
-        parser.error("--tol must be positive")
+    if args.tol is not None and not 0.0 < args.tol < math.inf:
+        parser.error("--tol must be finite and positive")
     # Only verify needs the identity suite; importing it costs every other command.
     from .identities import DEFAULT_W_GRID, run_suite
 

@@ -17,13 +17,16 @@ NonConvergentError instead of returning partial answers when the stopping
 rule cannot be met.  Every infinite sum in the package stops by one rule,
 written once in _sum_until_small: CONSECUTIVE_SMALL successive terms below
 tol, with every summed term counted against max_terms.  The infinite
-product (a; q)_inf has two routes, picked per call by _qpochhammer_inf from
-its arguments: factors 1 - q^k a multiplied up to the first one with
-|q^k a| < tol, whose length grows like 1/(1 - q), or, for tol <= |a| < 1
-where it is cheaper, exp of the log series
+product (a; q)_inf is evaluated by one kernel per q and policy,
+_QPochKernel, which forms log q, log tol and the series' cap once and picks
+one of two routes per argument: factors 1 - q^k a multiplied up to the
+first one with |q^k a| < tol, whose length grows like 1/(1 - q), or, for
+tol <= |a| < 1 where it is cheaper, exp of the log series
 log (a; q)_inf = -sum_n a^n/(n(1 - q^n)), summed by that one rule, whose
-length does not depend on q.  _qpochhammer_inf_pm evaluates (a; q)_inf and
-(-a; q)_inf together in one pass, on the same route.
+length does not depend on q.  Its single product serves exp_qw and
+q_shifted_factorial_inf, which build one kernel per call; its pair gives
+(a; q)_inf and (-a; q)_inf in one pass, on the same route, for the drag
+routes, which build one kernel per (q, w) block.
 
 The lattice sums weight * sum_k q^k f(q^k t + [k]_{q,w}) behind the Hahn
 integral and the kinematic fixed-point iteration are written once, in
@@ -157,8 +160,8 @@ class DeformationParams(FrozenRecord):
 class TruncationPolicy(FrozenRecord):
     """Stopping contract for infinite sums and products.
 
-    tol is an absolute term/factor threshold; max_terms bounds the terms
-    summed or factors multiplied, counting every one.
+    tol is an absolute term/factor threshold, finite and positive; max_terms
+    bounds the terms summed or factors multiplied, counting every one.
     Every evaluation either meets its stopping rule or raises
     NonConvergentError; there is no silent partial result.
     """
@@ -168,6 +171,8 @@ class TruncationPolicy(FrozenRecord):
     def __init__(self, tol: float = 1e-14, max_terms: int = 100_000) -> None:
         if not tol > 0.0:
             raise ValueError(f"tol must be positive, got {tol!r}")
+        if tol == math.inf:
+            raise ValueError(f"tol must be finite, got {tol!r}")
         if max_terms < 1:
             raise ValueError(f"max_terms must be a positive integer, got {max_terms!r}")
         object.__setattr__(self, "tol", tol)
@@ -204,13 +209,18 @@ def _terms_until_small(
     *args: object,
     spent: int = 0,
 ) -> list[float]:
-    """The terms _sum_until_small sums, as a list, under the same rule."""
+    """The terms _sum_until_small sums, as a list, under the same rule.
+
+    -tol < term < tol is abs(term) < tol without the call, NaN included.
+    """
     tol = policy.tol
+    below = -tol
     summed: list[float] = []
+    append = summed.append
     small = 0
     for term in islice(terms, policy.max_terms - spent):
-        summed.append(term)
-        if abs(term) < tol:
+        append(term)
+        if below < term < tol:
             small += 1
             if small == CONSECUTIVE_SMALL:
                 return summed
@@ -416,121 +426,152 @@ def q_shifted_factorial(a: float, q: float, N: int) -> float:
     return math.prod(_q_product_factors(a, q, N), start=1.0)
 
 
-def _qpochhammer_inf(a: float, q: float, policy: TruncationPolicy) -> tuple[float, bool]:
-    """Evaluate (a; q)_infinity; return (value, zero_factor_hit).
+class _QPochKernel:
+    """(a; q)_infinity at one q under one policy, for any a.
 
-    Two routes, chosen from the arguments before anything is summed (see
-    _log_series_log_q):
+    The route decision's constants -- log q, log tol and the log series' cap
+    min(q, 1 - ZERO_FACTOR_TOL) -- are formed once here, so a caller that
+    evaluates many products at one q (a drag route object, one per (q, w)
+    block) builds one kernel and makes one method call per product.  Two
+    routes, chosen per argument before anything is summed (_series_route):
 
     * product: factors 1 - q^k a are multiplied while |q^k a| >= policy.tol,
       about K_prod = log(tol/|a|)/log q of them; the neglected tail perturbs
       the product by a relative amount of roughly |q^k a|/(1 - q) at the
       stopping index.  A factor within ZERO_FACTOR_TOL of 0 makes the product
-      exactly 0 and is reported via the flag; only the head of factors with
-      |q^k a| >= ZERO_FACTOR_HEAD is tested, because no later one can vanish.
-    * log series: exp(-sum_{n>=1} a^n/(n(1 - q^n))), summed by
-      _sum_until_small in about K_log = log(tol (1 - |a|))/log|a| terms
+      exactly 0; only the head of factors with |q^k a| >= ZERO_FACTOR_HEAD is
+      tested, because no later one can vanish.
+    * log series: exp(-sum_{n>=1} a^n/(n(1 - q^n))), summed under the one
+      stopping rule in about K_log = log(tol (1 - |a|))/log|a| terms
       whatever q is.
 
-    Both routes raise NonConvergentError when max_terms runs out first.
+    The loops run on |q^k a|: rounding is symmetric in sign, so q^k a is
+    -q^k |a| bit for bit for a < 0, and 1 - q^k a is 1 + q^k |a|.  Both
+    routes raise NonConvergentError when max_terms runs out first.
     """
-    log_q = _log_series_log_q(abs(a), q, policy.tol)
-    if log_q is not None:
-        return _qpochhammer_log_series(a, q, log_q, policy), False
-    tol = policy.tol
-    product = 1.0
-    scaled = a
-    head = 0
-    while head < policy.max_terms and abs(scaled) >= ZERO_FACTOR_HEAD:
-        if abs(scaled) < tol:
-            return product, False
-        factor = 1.0 - scaled
-        if abs(factor) < ZERO_FACTOR_TOL:
-            return 0.0, True
-        product *= factor
-        scaled *= q
-        head += 1
-    for _ in range(policy.max_terms - head):
-        if abs(scaled) < tol:
-            return product, False
-        product *= 1.0 - scaled
-        scaled *= q
-    raise NonConvergentError(_product_failure(a, q, policy))
 
+    __slots__ = ("_q", "_policy", "_tol", "_max_terms", "_log_q", "_log_tol", "_cap")
 
-def _qpochhammer_inf_pm(
-    a: float, q: float, policy: TruncationPolicy
-) -> tuple[float, float] | None:
-    """((a; q)_infinity, (-a; q)_infinity) in one pass.
+    def __init__(self, q: float, policy: TruncationPolicy) -> None:
+        self._q = q
+        self._policy = policy
+        self._tol = policy.tol
+        self._max_terms = policy.max_terms
+        self._log_q = math.log(q)
+        self._log_tol = math.log(policy.tol)
+        self._cap = min(q, 1.0 - ZERO_FACTOR_TOL)
 
-    Each value is bit for bit what _qpochhammer_inf gives.  The two share
-    |q^k a|, so they share the route and the stopping index: the product
-    route multiplies 1 - q^k a and 1 + q^k a in one loop, and on the log
-    series route the terms at -a are those at a with alternating sign.
-    Returns None as soon as a factor of either product vanishes within
-    ZERO_FACTOR_TOL; the caller then evaluates the two one at a time, so
-    that poles and running out of max_terms are reported as those calls
-    report them.  Raises the NonConvergentError that _qpochhammer_inf(a)
-    raises.
-    """
-    log_q = _log_series_log_q(abs(a), q, policy.tol)
-    if log_q is not None:
-        terms = _terms_until_small(
-            _log_series_terms(a, log_q), policy, _LOG_SERIES_WHAT, a, q
+    def _series_route(self, size: float) -> bool:
+        """Whether the log series is the route for (a; q)_inf at |a| = size.
+
+        The series is taken only for tol <= |a| < min(q, 1 - ZERO_FACTOR_TOL),
+        where no factor can vanish (for |a| >= q it is never shorter), and
+        only when LOG_SERIES_TERM_COST times its term count (K_log plus the
+        CONSECUTIVE_SMALL terms that confirm the stop) is below K_prod.
+        """
+        if self._tol <= size < self._cap:
+            log_size = math.log(size)
+            k_prod = (self._log_tol - log_size) / self._log_q
+            k_log = math.log(self._tol * (1.0 - size)) / log_size + CONSECUTIVE_SMALL
+            return LOG_SERIES_TERM_COST * k_log < k_prod
+        return False
+
+    def _log_terms(self, a: float) -> list[float]:
+        """The log series' terms a^n/(n(1 - q^n)), n >= 1, under the stopping rule."""
+        return _terms_until_small(
+            _log_series_terms(a, self._log_q), self._policy, _LOG_SERIES_WHAT, a, self._q
         )
-        # log (-a; q)_inf = -sum (-a)^n/(n(1 - q^n)), with n from 1.
-        return _exp_or_inf(-math.fsum(terms)), _exp_or_inf(_alternating_fsum(terms))
-    tol = policy.tol
-    plus = minus = 1.0  # (a; q)_k and (-a; q)_k
-    scaled = a
-    head = 0
-    while head < policy.max_terms and abs(scaled) >= ZERO_FACTOR_HEAD:
-        if abs(scaled) < tol:
-            return plus, minus
-        factor = 1.0 - scaled
-        other = 1.0 + scaled
-        if abs(factor) < ZERO_FACTOR_TOL or abs(other) < ZERO_FACTOR_TOL:
-            return None
-        plus *= factor
-        minus *= other
-        scaled *= q
-        head += 1
-    for _ in range(policy.max_terms - head):
-        if abs(scaled) < tol:
-            return plus, minus
-        plus *= 1.0 - scaled
-        minus *= 1.0 + scaled
-        scaled *= q
-    raise NonConvergentError(_product_failure(a, q, policy))
+
+    def single(self, a: float) -> tuple[float, bool]:
+        """((a; q)_infinity, zero_factor_hit); the value is 0.0 where a factor vanished.
+
+        A log series past the double range gives inf, as the product would.
+        """
+        size = abs(a)
+        if self._series_route(size):
+            return _exp_or_inf(-math.fsum(self._log_terms(a))), False
+        tol = self._tol
+        q = self._q
+        budget = self._max_terms
+        product = 1.0
+        head = 0
+        if a > 0.0:  # only then can a factor 1 - q^k a vanish
+            while head < budget and size >= ZERO_FACTOR_HEAD:
+                if size < tol:
+                    return product, False
+                factor = 1.0 - size
+                if -ZERO_FACTOR_TOL < factor < ZERO_FACTOR_TOL:
+                    return 0.0, True
+                product *= factor
+                size *= q
+                head += 1
+            for _ in range(budget - head):
+                if size < tol:
+                    return product, False
+                product *= 1.0 - size
+                size *= q
+        else:
+            for _ in range(budget):
+                if size < tol:
+                    return product, False
+                product *= 1.0 + size
+                size *= q
+        raise NonConvergentError(self._product_failure(a))
+
+    def pair(self, a: float) -> tuple[float, float] | None:
+        """((a; q)_infinity, (-a; q)_infinity) in one pass.
+
+        Each value is bit for bit what single gives.  The two share |q^k a|,
+        so they share the route and the stopping index: the product route
+        multiplies 1 - q^k a and 1 + q^k a in one loop, and on the log series
+        route the terms at -a are those at a with alternating sign.  Returns
+        None as soon as a factor of either product vanishes within
+        ZERO_FACTOR_TOL; the caller then evaluates the two one at a time, so
+        that poles and running out of max_terms are reported as those calls
+        report them.  Raises the NonConvergentError that single(a) raises.
+        """
+        size = abs(a)
+        if self._series_route(size):
+            terms = self._log_terms(a)
+            # log (-a; q)_inf = -sum (-a)^n/(n(1 - q^n)), with n from 1.
+            return _exp_or_inf(-math.fsum(terms)), _exp_or_inf(_alternating_fsum(terms))
+        tol = self._tol
+        q = self._q
+        budget = self._max_terms
+        low = high = 1.0  # (|a|; q)_k and (-|a|; q)_k
+        head = 0
+        while head < budget and size >= ZERO_FACTOR_HEAD:
+            if size < tol:
+                return (high, low) if a < 0.0 else (low, high)
+            factor = 1.0 - size
+            if -ZERO_FACTOR_TOL < factor < ZERO_FACTOR_TOL:
+                return None
+            low *= factor
+            high *= 1.0 + size
+            size *= q
+            head += 1
+        for _ in range(budget - head):
+            if size < tol:
+                return (high, low) if a < 0.0 else (low, high)
+            low *= 1.0 - size
+            high *= 1.0 + size
+            size *= q
+        raise NonConvergentError(self._product_failure(a))
+
+    def _product_failure(self, a: float) -> str:
+        return (
+            f"(a;q)_inf with a={a!r}, q={self._q!r} did not reach tol={self._tol!r} "
+            f"within {self._max_terms} factors"
+        )
 
 
-def _log_series_log_q(size: float, q: float, tol: float) -> float | None:
-    """log q when the log series is the route for (a; q)_inf at |a| = size, else None.
+def _qpochhammer_inf(a: float, q: float, policy: TruncationPolicy) -> tuple[float, bool]:
+    """(a; q)_infinity at one point: (value, zero_factor_hit), from a fresh kernel.
 
-    The series is taken only for tol <= |a| < 1 - ZERO_FACTOR_TOL, where no
-    factor can vanish, and only when LOG_SERIES_TERM_COST times its term
-    count (K_log plus the CONSECUTIVE_SMALL terms that confirm the stop) is
-    below the product's K_prod.  For |a| >= q it is never shorter.
+    exp_qw and q_shifted_factorial_inf evaluate their one product through
+    this name, which the benchmark's trace spans wrap.
     """
-    if tol <= size < min(q, 1.0 - ZERO_FACTOR_TOL):
-        log_q = math.log(q)
-        log_size = math.log(size)
-        k_prod = (math.log(tol) - log_size) / log_q
-        k_log = math.log(tol * (1.0 - size)) / log_size + CONSECUTIVE_SMALL
-        if LOG_SERIES_TERM_COST * k_log < k_prod:
-            return log_q
-    return None
-
-
-def _qpochhammer_log_series(a: float, q: float, log_q: float, policy: TruncationPolicy) -> float:
-    """(a; q)_infinity for |a| < 1 as exp(-sum_{n>=1} a^n/(n(1 - q^n))).
-
-    A sum past the double range gives inf, as the product would.
-    """
-    log_sum, _ = _sum_until_small(
-        _log_series_terms(a, log_q), policy, _LOG_SERIES_WHAT, a, q
-    )
-    return _exp_or_inf(-log_sum)
+    return _QPochKernel(q, policy).single(a)
 
 
 _LOG_SERIES_WHAT = "(a;q)_inf log series with a={!r}, q={!r}"
@@ -553,13 +594,6 @@ def _exp_or_inf(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
-
-
-def _product_failure(a: float, q: float, policy: TruncationPolicy) -> str:
-    return (
-        f"(a;q)_inf with a={a!r}, q={q!r} did not reach tol={policy.tol!r} "
-        f"within {policy.max_terms} factors"
-    )
 
 
 def q_shifted_factorial_inf(a: float, q: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:

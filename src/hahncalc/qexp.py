@@ -14,9 +14,11 @@ Three related objects, each truncated under a TruncationPolicy:
 
 All three reduce to exp as (q, w) -> (1, 0).
 
-The drag routes need e_{q,w} and e_{1/q} at a and at -a together.
-_exp_qw_pm and _exp_qinv_difference evaluate such a pair in one pass, bit
-for bit what the two separate calls give.
+The drag routes need e_{q,w} and e_{1/q} at a and at -a together, each
+pair in one pass, bit for bit what the two separate calls give: the e_{q,w}
+pair from the pair product of their (q, w) block's (a; q)_inf kernel
+(core._QPochKernel.pair, see resist._DragRoutes), the e_{1/q} pair from
+_exp_qinv_difference.
 
 Each side of the odd-part identity e_{1/q}(x) - e_{1/q}(-x) =
 2 sum_n q^(n(2n+1)) x^(2n+1)/[2n+1]_q! is written once: the left is
@@ -36,7 +38,6 @@ from .core import (
     _alternating_fsum,
     _check_q,
     _qpochhammer_inf,
-    _qpochhammer_inf_pm,
     _sum_until_small,
     _terms_until_small,
     lattice_step,
@@ -77,23 +78,6 @@ def exp_qw(
             f"q={params.q!r}, w={params.w!r}"
         )
     return _reciprocal(value)
-
-
-def _exp_qw_pm(
-    a: float, t: float, params: DeformationParams, policy: TruncationPolicy
-) -> tuple[float, float]:
-    """(exp_qw(-a, t), exp_qw(a, t)) from one pass over their products.
-
-    Bit for bit the two calls, in that order: their products are
-    (a step; q)_inf and (-a step; q)_inf, which _qpochhammer_inf_pm
-    evaluates together.  Where a factor of either vanishes, the two calls
-    are made one at a time, so the pole or NonConvergentError raised is
-    theirs.
-    """
-    pair = _qpochhammer_inf_pm(a * lattice_step(t, params), params.q, policy)
-    if pair is None:
-        return exp_qw(-a, t, params, policy), exp_qw(a, t, params, policy)
-    return _reciprocal(pair[0]), _reciprocal(pair[1])
 
 
 def _reciprocal(value: float) -> float:

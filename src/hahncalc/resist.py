@@ -21,8 +21,12 @@ each for every g (g = 0 is pure drag):
   error bounds, and counts its work against TruncationPolicy.max_terms.
 
 All three are methods of one route object per (q, w), _DragRoutes, which
-forms the lattice constants once; each public function builds a fresh one,
-and the CLI builds one per (q, w) block of its table.
+forms the lattice constants, the (a; q)_inf kernel of its q and a table of
+q^j once, so a row costs one kernel call for the closed and series routes
+and the iteration's own arithmetic; each public function builds a fresh
+one, and the CLI builds one per (q, w) block of its table.  The classical
+reference has no (q, w): _classical_route forms its constants once for a
+whole table.
 
 Poles: e_{q,w}(-kappa t) multiplies v, so a pole of it (a vanishing factor
 of (kappa step; q)_inf, step = (q-1)t + w) is a pole of v and raises
@@ -55,11 +59,11 @@ from .core import (
     _check_count,
     _check_q,
     _q_product_factors,
-    _sum_until_small,
-    lattice_step,
+    _QPochKernel,
+    _terms_until_small,
 )
 from .errors import PoleEncounteredError, ZeroFactorError
-from .qexp import _exp_qinv_difference, _exp_qinv_odd_part, _exp_qw_pm, exp_qw
+from .qexp import _exp_qinv_difference, _exp_qinv_odd_part, exp_qw
 
 __all__ = [
     "DragParams",
@@ -122,15 +126,19 @@ class _DragRoutes:
     kappa, the driven term's coefficient (1+q) m g/(2k), the iteration's
     series coefficient c_1 = g - 2 kappa v0, its start radius and log q are
     formed once here, by the expressions each route used to form per call,
-    so no bit of any route moves.  The closed and series routes at one t
-    share e_{q,w}(-kappa t) and e_{q,w}(kappa t) (one pass, see
-    qexp._exp_qw_pm) through a memo of the last t, so a table row that asks
+    so no bit of any route moves.  So are the (a; q)_inf kernel of the
+    block's q (core._QPochKernel), the slope q - 1 of the lattice step
+    (q - 1)t + w, and a table of q^j, j = 0, 1, ..., which the iteration
+    extends as it reaches deeper.  The closed and series routes at one t
+    share e_{q,w}(-kappa t) and e_{q,w}(kappa t), one pass of the kernel's
+    pair product, through a memo of the last t, so a table row that asks
     for both evaluates the pair once.
     """
 
     __slots__ = (
-        "_params", "_policy", "_q", "_w0", "_rate", "_v0", "_g", "_coeff",
-        "_c1", "_start", "_log_start", "_log_q", "_last",
+        "_params", "_policy", "_kernel", "_q", "_slope", "_w", "_w0", "_rate",
+        "_v0", "_g", "_coeff", "_c1", "_start", "_log_start", "_log_q",
+        "_powers", "_last",
     )
 
     def __init__(
@@ -140,7 +148,10 @@ class _DragRoutes:
         rate = kappa(dp, q)
         self._params = params
         self._policy = policy
+        self._kernel = _QPochKernel(q, policy)
         self._q = q
+        self._slope = q - 1.0
+        self._w = params.w
         self._w0 = params.w0
         self._rate = rate
         self._v0 = dp.v0
@@ -154,7 +165,8 @@ class _DragRoutes:
         self._start = start
         self._log_start = math.log(start) if start > 0.0 else -math.inf
         self._log_q = math.log(q)
-        self._last: tuple[float, float, float] | None = None
+        self._powers = [1.0]  # q**j for j < len(self._powers)
+        self._last = (math.nan, 0.0, 0.0)  # (t, e_minus, e_plus); nan equals no t
 
     def _velocity(
         self, t: float, bracket: Callable[[float, float, TruncationPolicy], float]
@@ -165,20 +177,31 @@ class _DragRoutes:
         bracket(X, q, policy) at X = kappa (t - w0); with g = 0 (pure drag) the
         driven term is exactly zero and B is not evaluated.
 
-        A pole of e_{q,w}(-kappa t) (a vanishing factor of (kappa step; q)_inf)
-        is one of v and raises PoleEncounteredError.  e_{q,w}(kappa t) enters
-        v only through its reciprocal, which is 0 at its poles.
+        e_{q,w}(-+kappa t) are the reciprocals of (+-kappa step; q)_inf, step =
+        (q - 1)t + w, bit for bit exp_qw's; a product that underflowed to 0
+        gives inf.  A pole of e_{q,w}(-kappa t) (a vanishing factor of
+        (kappa step; q)_inf) is one of v and raises PoleEncounteredError.
+        e_{q,w}(kappa t) enters v only through its reciprocal, which is 0 at
+        its poles.
         """
         last = self._last
-        if last is not None and last[0] == t:
+        if last[0] == t:
             _, e_minus, e_plus = last
         else:
-            try:
-                e_minus, e_plus = _exp_qw_pm(self._rate, t, self._params, self._policy)
-            except PoleEncounteredError:
-                # Raises again where the pole is e_{q,w}(-kappa t)'s own.
-                e_minus = exp_qw(-self._rate, t, self._params, self._policy)
-                e_plus = math.inf
+            rate = self._rate
+            pair = self._kernel.pair(rate * (self._slope * t + self._w))
+            if pair is None:
+                # A factor of either product vanishes: one exponential at a
+                # time, so the pole raised is e_{q,w}(-kappa t)'s own.
+                e_minus = exp_qw(-rate, t, self._params, self._policy)
+                try:
+                    e_plus = exp_qw(rate, t, self._params, self._policy)
+                except PoleEncounteredError:
+                    e_plus = math.inf
+            else:
+                low, high = pair
+                e_minus = 1.0 / low if low else math.copysign(math.inf, low)
+                e_plus = 1.0 / high if high else math.copysign(math.inf, high)
             self._last = (t, e_minus, e_plus)
         homogeneous = self._v0 * e_minus / e_plus
         if self._g == 0.0:
@@ -200,6 +223,7 @@ class _DragRoutes:
         rate = self._rate
         policy = self._policy
         start = self._start
+        powers = self._powers
         s = t - self._w0
         depth = 0
         if not abs(s) <= start:
@@ -208,25 +232,31 @@ class _DragRoutes:
             depth = policy.max_terms
             if start > 0.0 and math.isfinite(s):
                 depth = min(depth, math.ceil((self._log_start - math.log(abs(s))) / self._log_q))
-        v, _ = _sum_until_small(
-            _gravity_drag_series_terms(self._v0, self._c1, rate, q, s * q**depth),
-            policy,
-            "gravity-drag iteration at t={!r}, q={!r}",
-            t,
-            q,
-            spent=depth,
+        x = s * (powers[depth] if depth < len(powers) else q**depth)
+        v = math.fsum(
+            _terms_until_small(
+                _gravity_drag_series_terms(self._v0, self._c1, rate, q, x),
+                policy,
+                "gravity-drag iteration at t={!r}, q={!r}",
+                t,
+                q,
+                spent=depth,
+            )
         )
+        if len(powers) < depth:
+            # A longer table replaces the old one, which is never changed in place.
+            self._powers = powers = powers + [q**j for j in range(len(powers), depth)]
         g = self._g
-        u0 = lattice_step(t, self._params)
+        u0 = self._slope * t + self._w  # lattice_step(t, params)
         head = 0
-        while head < depth and abs(rate * (u0 * q**head)) >= ZERO_FACTOR_HEAD:
+        while head < depth and abs(rate * (u0 * powers[head])) >= ZERO_FACTOR_HEAD:
             head += 1
         for j in range(depth - 1, head - 1, -1):
-            uj = u0 * q**j
+            uj = u0 * powers[j]
             drag = rate * uj
             v = (-g * uj + (1.0 + drag) * v) / (1.0 - drag)
         for j in range(head - 1, -1, -1):
-            uj = u0 * q**j
+            uj = u0 * powers[j]
             drag = rate * uj
             denom = 1.0 - drag
             if abs(denom) < ZERO_FACTOR_TOL:
@@ -339,8 +369,22 @@ def classical_drag_velocity(dp: DragParams, t: float) -> float:
     The q -> 1, w -> 0 limit of every deformed route; approaches the
     terminal velocity mg/k as t grows.
     """
-    decay = math.exp(-dp.k * t / dp.m)
-    return dp.v0 * decay + dp.m * dp.g / dp.k * (1.0 - decay)
+    return _classical_route(dp)(t)
+
+
+def _classical_route(dp: DragParams) -> Callable[[float], float]:
+    """t -> classical_drag_velocity(dp, t), with -k, m and m g/k formed once."""
+    neg_k = -dp.k
+    m = dp.m
+    v0 = dp.v0
+    terminal = dp.m * dp.g / dp.k
+    exp = math.exp
+
+    def classical(t: float) -> float:
+        decay = exp(neg_k * t / m)
+        return v0 * decay + terminal * (1.0 - decay)
+
+    return classical
 
 
 def _q_shifted_checked(a: float, q: float, count: int) -> float:

@@ -9,13 +9,19 @@ flag saying why.
 
 Rendering is deterministic: floats are written with repr (shortest
 round-trip form), and column and metadata order is insertion order.  The
-JSON text is exactly json.dumps(payload, indent=2) plus a newline, but the
-columns and flags, nearly all of its bytes, go through json's C encoder,
-which json.dumps skips whenever indent is set.  json is imported on the
-first JSON rendering, so CSV runs never load it.
+JSON text is exactly json.dumps(payload, indent=2) plus a newline.  Both
+formats render column by column.  A column whose values repeat (a sweep's
+q, w and t axes, a column of zeros) formats each distinct value once and
+looks the rest up; a column of mostly distinct values formats every cell,
+in JSON through json's C encoder, which json.dumps skips whenever indent is
+set.  json is imported on the first JSON rendering, so CSV runs never load
+it.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Callable
 
 from ._record import Record
 
@@ -27,19 +33,62 @@ FLAG_NONCONVERGENT = "nonconvergent"
 _KNOWN_FLAGS = (FLAG_OK, FLAG_POLE, FLAG_NONCONVERGENT)
 
 
+def _cells(values: list, fmt: Callable[[object], str]) -> list[str] | None:
+    """[fmt(value) for value in values], each distinct value formatted once.
+
+    Returns None where that saves little: where the values are mostly
+    distinct or a quarter of them are zeros, or where they are of more than
+    one type besides None, since equal values of two types render
+    differently (1 == True == 1.0).  Within one type only the sign of zero
+    tells equal values apart (0.0 == -0.0), so each zero of a float column
+    is given the text of its sign.  Values must be hashable scalars.
+    """
+    zeros = values.count(0.0)
+    if 4 * zeros > len(values):
+        return None
+    distinct = set(values)
+    if 2 * len(distinct) > len(values):
+        return None
+    kinds = set(map(type, values))
+    kinds.discard(type(None))
+    if len(kinds) > 1:
+        return None
+    text = {value: fmt(value) for value in distinct}
+    cells = list(map(text.__getitem__, values))
+    if float in kinds and zeros:
+        signed = {1.0: fmt(0.0), -1.0: fmt(-0.0)}
+        i = -1
+        for _ in range(zeros):
+            i = values.index(0.0, i + 1)
+            cells[i] = signed[math.copysign(1.0, values[i])]
+    return cells
+
+
+def _json_scalar(value: object) -> str:
+    """One scalar as json.dumps writes it inside a list; NaN and inf raise ValueError."""
+    import json
+
+    return json.dumps(value, allow_nan=False)
+
+
 def _json_list(values: list, pad: str) -> str:
     """values as json.dumps(..., indent=2) nests them at indent pad.
 
-    Encoding with indent=None takes json's C encoder; the item separator
-    carries the newline and indent of the next item.  Items must be scalars.
+    Mostly distinct values are encoded with indent=None, which takes json's
+    C encoder; its item separator carries the newline and indent of the
+    next item.  Items must be scalars.
     """
     import json
 
     if not values:
         return "[]"
     inner = pad + "  "
-    items = json.dumps(values, separators=(",\n" + inner, ": "), allow_nan=False)
-    return "[\n" + inner + items[1:-1] + "\n" + pad + "]"
+    cells = _cells(values, _json_scalar)
+    if cells is None:
+        items = json.dumps(values, separators=(",\n" + inner, ": "), allow_nan=False)[1:-1]
+    else:
+        items = (",\n" + inner).join(cells)
+    return "[\n" + inner + items + "\n" + pad + "]"
 
 
 def _format_value(value: object) -> str:
@@ -111,12 +160,12 @@ class TrajectoryTable(Record):
         """Render as CSV with a `# key=value` metadata header block."""
         self.validate()
         lines = [f"# {key}={_format_value(value)}" for key, value in self.metadata.items()]
-        names = list(self.columns)
-        lines.append(",".join(names + ["flag"]))
-        for i, flag in enumerate(self.flags):
-            cells = [_format_value(self.columns[name][i]) for name in names]
-            cells.append(flag)
-            lines.append(",".join(cells))
+        lines.append(",".join([*self.columns, "flag"]))
+        columns = []
+        for values in self.columns.values():
+            cells = _cells(values, _format_value)
+            columns.append(list(map(_format_value, values)) if cells is None else cells)
+        lines += map(",".join, zip(*columns, self.flags))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -134,12 +183,14 @@ class TrajectoryTable(Record):
             f"    {json.dumps(name)}: {_json_list(values, '    ')}"
             for name, values in self.columns.items()
         )
-        return (
-            '{\n  "metadata": '
-            + metadata.replace("\n", "\n  ")
-            + ',\n  "columns": {\n'
-            + columns
-            + '\n  },\n  "flags": '
-            + _json_list(self.flags, "  ")
-            + "\n}\n"
+        return "".join(
+            [
+                '{\n  "metadata": ',
+                metadata.replace("\n", "\n  "),
+                ',\n  "columns": {\n',
+                columns,
+                '\n  },\n  "flags": ',
+                _json_list(self.flags, "  "),
+                "\n}\n",
+            ]
         )

@@ -202,13 +202,13 @@ def test_shifted_factorial_inf_nonconvergent_on_tiny_budget():
 def log_series_calls(monkeypatch):
     """Record each call of the log-series route of (a; q)_inf."""
     calls = []
-    original = core._qpochhammer_log_series
+    original = core._QPochKernel._log_terms
 
     def spy(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(core, "_qpochhammer_log_series", spy)
+    monkeypatch.setattr(core._QPochKernel, "_log_terms", spy)
     return calls
 
 
@@ -269,7 +269,7 @@ def test_log_series_route_overflows_to_inf_like_the_product(log_series_calls):
 @pytest.mark.parametrize("a", [-0.6, -0.05, 0.05, 0.3, 0.6])
 def test_both_routes_agree(a, q):
     policy = TruncationPolicy(max_terms=10**6)
-    log_series = core._qpochhammer_log_series(a, q, math.log(q), policy)
+    log_series = math.exp(-math.fsum(core._QPochKernel(q, policy)._log_terms(a)))
     product = q_shifted_factorial(a, q, math.ceil(math.log(1e-17) / math.log(q)))
     assert log_series == pytest.approx(product, rel=1e-12)
 
@@ -334,9 +334,10 @@ def test_plus_minus_pair_is_bit_identical_to_two_calls(q):
         for tol in (1e-14, 0.7):
             for max_terms in (1, 2, 3, 5, 40, 100_000):
                 policy = TruncationPolicy(tol=tol, max_terms=max_terms)
-                routes.add(core._log_series_log_q(abs(a), q, tol) is not None)
+                kernel = core._QPochKernel(q, policy)
+                routes.add(kernel._series_route(abs(a)))
                 try:
-                    got = core._qpochhammer_inf_pm(a, q, policy)
+                    got = kernel.pair(a)
                 except NonConvergentError as exc:
                     got = str(exc)
                 assert repr(got) == repr(one_at_a_time(a, q, policy))

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hahncalc import qexp
+from hahncalc import qexp, resist
 from hahncalc import (
     DeformationParams,
+    DragParams,
     HahnCalcError,
     OutOfRadiusError,
     PoleEncounteredError,
@@ -174,25 +175,49 @@ def outcome(evaluate, *args):
 
 
 def exp_qw_two_calls(a, t, params, policy):
-    return exp_qw(-a, t, params, policy), exp_qw(a, t, params, policy)
+    """exp_qw(-a, t) and exp_qw(a, t), one call each; a pole of the second reads inf."""
+    e_minus = exp_qw(-a, t, params, policy)
+    try:
+        e_plus = exp_qw(a, t, params, policy)
+    except PoleEncounteredError:
+        e_plus = math.inf
+    return e_minus, e_plus
+
+
+def drag_pair(routes, t):
+    """The pair e(-kappa t), e(kappa t) a drag route object forms at t, read from its memo.
+
+    closed(t) divides by e(kappa t), which is 0 where its product overflowed
+    (at t = 3600 for q = 0.99 and 0.999 here), and then raises
+    ZeroDivisionError after the memo holds the pair.
+    """
+    try:
+        routes.closed(t)
+    except ZeroDivisionError:
+        pass
+    return routes._last[1:]
 
 
 @pytest.mark.parametrize("q, w", [(0.3, 0.0), (0.5, 0.1), (0.9, 0.5), (0.99, 0.5), (0.999, 0.0)])
 def test_exp_qw_pair_is_bit_identical_to_two_calls(q, w):
-    # Times over both signs of the step, the poles of either exponential
-    # (a factor q^k a step = +-1 vanishes), and at q = 0.999, t = 3600 a pair
-    # past the double range: inf and 0.
+    # A drag route object takes e(-+kappa t) from one pass of its block's
+    # (a; q)_inf kernel.  Times over both signs of the step, the poles of
+    # either exponential (a factor q^k kappa step = +-1 vanishes), and at
+    # q = 0.999, t = 3600 a pair past the double range: 0 and inf.
     params = DeformationParams(q=q, w=w)
     for a in (0.25, 1.0, 2.5):
-        poles = [(w + sign / (a * q**k)) / (1.0 - q) for sign in (1.0, -1.0) for k in range(3)]
-        times = [-60.0 + 3.0 * i for i in range(41)] + poles + [3600.0]
-        for t in times:
-            for max_terms in (3, 40, 100_000):
-                policy = TruncationPolicy(max_terms=max_terms)
-                got = outcome(qexp._exp_qw_pm, a, t, params, policy)
-                assert got == outcome(exp_qw_two_calls, a, t, params, policy)
-    overflow = qexp._exp_qw_pm(0.25, 3600.0, DeformationParams(q=0.999), TruncationPolicy())
-    assert overflow == (0.0, math.inf)
+        dp = DragParams(m=1.0, k=a * (1.0 + q), g=0.0, v0=1.0)
+        for max_terms in (3, 40, 100_000):
+            policy = TruncationPolicy(max_terms=max_terms)
+            routes = resist._DragRoutes(dp, params, policy)
+            rate = routes._rate
+            poles = [(w + sign / (rate * q**k)) / (1.0 - q) for sign in (1.0, -1.0) for k in range(3)]
+            for t in [-60.0 + 3.0 * i for i in range(41)] + poles + [3600.0]:
+                got = outcome(drag_pair, routes, t)
+                assert got == outcome(exp_qw_two_calls, rate, t, params, policy)
+    dp = DragParams(m=1.0, k=0.5, g=0.0, v0=1.0)
+    routes = resist._DragRoutes(dp, DeformationParams(q=0.999), TruncationPolicy())
+    assert drag_pair(routes, 3600.0) == (0.0, math.inf)
 
 
 def exp_qinv_two_calls(x, q, policy):

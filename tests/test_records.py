@@ -117,6 +117,7 @@ def test_derived_fixed_point_is_not_a_parameter():
         ),
         (lambda: TruncationPolicy(tol=0.0), "tol must be positive, got 0.0"),
         (lambda: TruncationPolicy(tol=math.nan), "tol must be positive, got nan"),
+        (lambda: TruncationPolicy(tol=math.inf), "tol must be finite, got inf"),
         (lambda: TruncationPolicy(max_terms=0), "max_terms must be a positive integer, got 0"),
         (lambda: KinematicState(math.nan, 0.0, 0.0), "x0 must be finite, got nan"),
         (lambda: KinematicState(0.0, math.inf, 0.0), "v0 must be finite, got inf"),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hahncalc import qexp, resist
+from hahncalc import core, qexp, resist
 from hahncalc import (
     DeformationParams,
     DragParams,
@@ -506,16 +506,16 @@ def test_closed_form_past_the_double_range_is_zero_not_a_crash():
 
 @pytest.fixture
 def pair_calls(monkeypatch):
-    """Count one-pass evaluations of the pair e(-kappa t), e(kappa t) made
-    through resist."""
+    """Count one-pass evaluations of the pair e(-kappa t), e(kappa t): calls
+    of the pair product of the (a; q)_inf kernel a drag route object holds."""
     calls = []
-    original = resist._exp_qw_pm
+    original = core._QPochKernel.pair
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(resist, "_exp_qw_pm", counting)
+    monkeypatch.setattr(core._QPochKernel, "pair", counting)
     return calls
 
 

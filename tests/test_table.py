@@ -121,3 +121,60 @@ def test_json_rejects_non_finite_values(table):
         reference_json(table)
     with pytest.raises(ValueError):
         table.to_json()
+
+
+def mixed_table():
+    """Columns whose equal values render differently, next to repeated floats."""
+    return TrajectoryTable(
+        columns={
+            "t": [0.0, 0.5, 1.0, 1.5, 2.0, 2.5],
+            "zeros": [0.0, -0.0, 0.0, -0.0, -0.0, 0.0],
+            "ones": [1, True, 1.0, 1, 1.0, True],
+            "falsy": [False, 0, 0.0, -0.0, None, False],
+            "repeated": [1 / 3, 1 / 3, None, 1 / 3, 0.1, 0.1],
+            "distinct": [0.1, 0.2, 1 / 7, -2.5e-300, 1e300, None],
+        },
+        metadata={"note": "mixed"},
+        flags=[FLAG_OK, FLAG_POLE, FLAG_OK, FLAG_OK, FLAG_POLE, FLAG_OK],
+    )
+
+
+def csv_cell(value):
+    """One CSV cell in the per-cell layout: empty for None, repr for floats, else str."""
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def per_cell_csv(table):
+    """The CSV text as the per-cell layout writes it, row by row."""
+    names = list(table.columns)
+    lines = [f"# {key}={csv_cell(value)}" for key, value in table.metadata.items()]
+    lines.append(",".join(names + ["flag"]))
+    for i, flag in enumerate(table.flags):
+        lines.append(",".join([csv_cell(table.columns[n][i]) for n in names] + [flag]))
+    return "\n".join(lines) + "\n"
+
+
+def test_equal_values_of_other_types_or_zero_signs_render_apart():
+    table = mixed_table()
+    assert table.to_json() == reference_json(table)
+    assert table.to_csv() == per_cell_csv(table)
+
+
+def test_repeated_floats_keep_the_sign_of_their_few_zeros():
+    # Columns long enough that their values repeat and zeros are rare, so
+    # each distinct value is formatted once and the zeros by their sign.
+    axis = [0.25, 0.5, 0.25, 0.5] * 4
+    table = TrajectoryTable(
+        columns={
+            "t": [i / 8 for i in range(16)],
+            "signed": axis[:6] + [-0.0] + axis[7:11] + [0.0] + axis[12:],
+            "gaps": axis[:5] + [None, 0.0] + axis[7:],
+            "ints": [3, 0, 3, 3, 3, 7, 3, 3, 7, 3, 3, 3, 7, 3, 3, 3],
+        },
+        flags=[FLAG_OK] * 16,
+    )
+    assert table.to_json() == reference_json(table)
+    assert table.to_csv() == per_cell_csv(table)
+    assert table.to_csv().splitlines()[7].split(",")[1] == "-0.0"
