@@ -42,7 +42,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
+from typing import TYPE_CHECKING, Callable, NoReturn, Sequence, TypeVar
 
 from .errors import NonConvergentError, PoleEncounteredError, ZeroFactorError
 
@@ -59,6 +59,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY_FAIL = 2
 EXIT_EMPTY_COLUMN = 3
+
+_T = TypeVar("_T")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -216,24 +218,28 @@ def _time_grid(args: argparse.Namespace, parser: _Parser) -> list[float]:
     return _grid(args.t_start, args.t_end, args.samples, "time", parser)
 
 
+def _usage_checked(
+    parser: _Parser, make: Callable[..., _T], *args: object, **kwargs: object
+) -> _T:
+    """make(*args, **kwargs), or a usage error with the ValueError's message."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _lattice_params(q: float | None, w: float | None, parser: _Parser) -> DeformationParams:
     if q is None:
         parser.error("--q is required (directly or via --sweep q=...)")
     from .core import DeformationParams
 
-    try:
-        return DeformationParams(q, 0.0 if w is None else w)
-    except ValueError as exc:
-        parser.error(str(exc))
+    return _usage_checked(parser, DeformationParams, q, 0.0 if w is None else w)
 
 
 def _policy(args: argparse.Namespace, parser: _Parser) -> TruncationPolicy:
     from .core import TruncationPolicy
 
-    try:
-        return TruncationPolicy(tol=args.tol, max_terms=args.max_terms)
-    except ValueError as exc:
-        parser.error(str(exc))
+    return _usage_checked(parser, TruncationPolicy, tol=args.tol, max_terms=args.max_terms)
 
 
 def _parse_routes(spec: str, allowed: Sequence[str], parser: _Parser) -> list[str]:
@@ -323,10 +329,7 @@ def _kinematics_setup(
         uniform_accel_position,
     )
 
-    try:
-        state = KinematicState(args.x0, args.v0, args.a)
-    except ValueError as exc:
-        parser.error(str(exc))
+    state = _usage_checked(parser, KinematicState, args.x0, args.v0, args.a)
 
     def evaluators(params: DeformationParams) -> dict[str, Callable[[float], float]]:
         x_w0 = position_at_fixed_point(state, params)
@@ -350,10 +353,7 @@ def _drag_setup(
 ) -> tuple[dict[str, object], _Evaluators]:
     from .resist import DragParams, _classical_route, _DragRoutes
 
-    try:
-        dp = DragParams(m=args.m, k=args.k, g=args.g, v0=args.v0)
-    except ValueError as exc:
-        parser.error(str(exc))
+    dp = _usage_checked(parser, DragParams, m=args.m, k=args.k, g=args.g, v0=args.v0)
     classical = _classical_route(dp)  # the same for every (q, w)
 
     def evaluators(params: DeformationParams) -> dict[str, Callable[[float], float]]:

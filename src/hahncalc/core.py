@@ -25,8 +25,8 @@ tol <= |a| < 1 where it is cheaper, exp of the log series
 log (a; q)_inf = -sum_n a^n/(n(1 - q^n)), summed by that one rule, whose
 length does not depend on q.  Its single product serves exp_qw and
 q_shifted_factorial_inf, which build one kernel per call; its pair gives
-(a; q)_inf and (-a; q)_inf in one pass, on the same route, for the drag
-routes, which build one kernel per (q, w) block.
+(a; q)_inf, (-a; q)_inf and single(a)'s zero_factor_hit in one pass, for
+the drag routes, which build one kernel per (q, w) block.
 
 The lattice sums weight * sum_k q^k f(q^k t + [k]_{q,w}) behind the Hahn
 integral and the kinematic fixed-point iteration are written once, in
@@ -55,7 +55,7 @@ from itertools import chain, count, islice
 from typing import Callable, Iterator
 
 from ._record import FrozenRecord
-from .errors import NonConvergentError, ZeroFactorWarning
+from .errors import NonConvergentError, ZeroFactorError, ZeroFactorWarning
 
 __all__ = [
     "DeformationParams",
@@ -392,6 +392,14 @@ def _q_product_factors(a: float, q: float, n: int) -> Iterator[float]:
         scaled *= q
 
 
+def _nonvanishing_factors(a: float, q: float, n: int) -> Iterator[float]:
+    """The factors of _q_product_factors(a, q, n); ZeroFactorError at a vanishing one."""
+    for j, factor in enumerate(_q_product_factors(a, q, n)):
+        if -ZERO_FACTOR_TOL < factor < ZERO_FACTOR_TOL:
+            raise ZeroFactorError(f"factor 1 - q^{j} a vanishes for a={a!r}, q={q!r}")
+        yield factor
+
+
 def q_factorial(n: int, q: float) -> float:
     """The q-factorial [n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
     _check_q(q)
@@ -518,23 +526,23 @@ class _QPochKernel:
                 size *= q
         raise NonConvergentError(self._product_failure(a))
 
-    def pair(self, a: float) -> tuple[float, float] | None:
-        """((a; q)_infinity, (-a; q)_infinity) in one pass.
+    def pair(self, a: float) -> tuple[float, float, bool]:
+        """((a; q)_infinity, (-a; q)_infinity, zero_factor_hit) in one pass.
 
-        Each value is bit for bit what single gives.  The two share |q^k a|,
-        so they share the route and the stopping index: the product route
-        multiplies 1 - q^k a and 1 + q^k a in one loop, and on the log series
-        route the terms at -a are those at a with alternating sign.  Returns
-        None as soon as a factor of either product vanishes within
-        ZERO_FACTOR_TOL; the caller then evaluates the two one at a time, so
-        that poles and running out of max_terms are reported as those calls
-        report them.  Raises the NonConvergentError that single(a) raises.
+        Each value is bit for bit what single gives, and zero_factor_hit is
+        single(a)'s.  The two share |q^k a|, so they share the route and the
+        stopping index: the product route multiplies 1 - q^k a and 1 + q^k a
+        in one loop, and on the log series route the terms at -a are those
+        at a with alternating sign.  A vanishing factor of (a; q)_inf stops
+        the pass with both values 0.0.  One of (-a; q)_inf, possible only for
+        a < 0, makes that value 0.0 while (a; q)_inf runs on, as single(a).
+        Raises the NonConvergentError that single(a) raises.
         """
         size = abs(a)
         if self._series_route(size):
             terms = self._log_terms(a)
             # log (-a; q)_inf = -sum (-a)^n/(n(1 - q^n)), with n from 1.
-            return _exp_or_inf(-math.fsum(terms)), _exp_or_inf(_alternating_fsum(terms))
+            return _exp_or_inf(-math.fsum(terms)), _exp_or_inf(_alternating_fsum(terms)), False
         tol = self._tol
         q = self._q
         budget = self._max_terms
@@ -542,17 +550,17 @@ class _QPochKernel:
         head = 0
         while head < budget and size >= ZERO_FACTOR_HEAD:
             if size < tol:
-                return (high, low) if a < 0.0 else (low, high)
+                return (high, low, False) if a < 0.0 else (low, high, False)
             factor = 1.0 - size
             if -ZERO_FACTOR_TOL < factor < ZERO_FACTOR_TOL:
-                return None
+                return (self.single(a)[0], 0.0, False) if a < 0.0 else (0.0, 0.0, True)
             low *= factor
             high *= 1.0 + size
             size *= q
             head += 1
         for _ in range(budget - head):
             if size < tol:
-                return (high, low) if a < 0.0 else (low, high)
+                return (high, low, False) if a < 0.0 else (low, high, False)
             low *= 1.0 - size
             high *= 1.0 + size
             size *= q

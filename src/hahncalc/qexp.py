@@ -17,7 +17,8 @@ All three reduce to exp as (q, w) -> (1, 0).
 The drag routes need e_{q,w} and e_{1/q} at a and at -a together, each
 pair in one pass, bit for bit what the two separate calls give: the e_{q,w}
 pair from the pair product of their (q, w) block's (a; q)_inf kernel
-(core._QPochKernel.pair, see resist._DragRoutes), the e_{1/q} pair from
+(core._QPochKernel.pair, which also reports the vanishing factor that is
+a pole of exp_qw(-a); see resist._DragRoutes), the e_{1/q} pair from
 _exp_qinv_difference.
 
 Each side of the odd-part identity e_{1/q}(x) - e_{1/q}(-x) =

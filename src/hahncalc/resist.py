@@ -29,11 +29,13 @@ reference has no (q, w): _classical_route forms its constants once for a
 whole table.
 
 Poles: e_{q,w}(-kappa t) multiplies v, so a pole of it (a vanishing factor
-of (kappa step; q)_inf, step = (q-1)t + w) is a pole of v and raises
-PoleEncounteredError in the closed and series routes, and ZeroFactorError in
-the iteration, whose factor 1 - kappa u_0 vanishes there.  e_{q,w}(kappa t)
-enters v only through its reciprocal, which is 0 at its poles, where v is
-finite and every route returns it.
+of (kappa step; q)_inf, step = (q-1)t + w, which the kernel's pair reports)
+is a pole of v and raises PoleEncounteredError in the closed and series
+routes, and ZeroFactorError in the iteration, whose factor 1 - kappa u_0
+vanishes there.  e_{q,w}(kappa t) enters v only through its reciprocal,
+which is 0 at its poles, where v is finite and every route returns it.
+Where e_{q,w}(kappa t) underflows to 0 the closed and series routes raise
+OverflowError.
 
 Conventions: downward is positive, so g > 0 accelerates the fall.  The
 drag strength enters through kappa = k/(m(1+q)).  Velocities are anchored
@@ -58,12 +60,13 @@ from .core import (
     TruncationPolicy,
     _check_count,
     _check_q,
+    _nonvanishing_factors,
     _q_product_factors,
     _QPochKernel,
     _terms_until_small,
 )
 from .errors import PoleEncounteredError, ZeroFactorError
-from .qexp import _exp_qinv_difference, _exp_qinv_odd_part, exp_qw
+from .qexp import _exp_qinv_difference, _exp_qinv_odd_part
 
 __all__ = [
     "DragParams",
@@ -125,18 +128,17 @@ class _DragRoutes:
 
     kappa, the driven term's coefficient (1+q) m g/(2k), the iteration's
     series coefficient c_1 = g - 2 kappa v0, its start radius and log q are
-    formed once here, by the expressions each route used to form per call,
-    so no bit of any route moves.  So are the (a; q)_inf kernel of the
-    block's q (core._QPochKernel), the slope q - 1 of the lattice step
-    (q - 1)t + w, and a table of q^j, j = 0, 1, ..., which the iteration
-    extends as it reaches deeper.  The closed and series routes at one t
-    share e_{q,w}(-kappa t) and e_{q,w}(kappa t), one pass of the kernel's
-    pair product, through a memo of the last t, so a table row that asks
-    for both evaluates the pair once.
+    formed once here.  So are the (a; q)_inf kernel of the block's q
+    (core._QPochKernel), the slope q - 1 of the lattice step (q - 1)t + w,
+    and a table of q^j, j = 0, 1, ..., which the iteration extends as it
+    reaches deeper.  The closed and series routes at one t share
+    e_{q,w}(-kappa t) and e_{q,w}(kappa t), one pass of the kernel's pair
+    product, through a memo of the last t, so a table row that asks for
+    both evaluates the pair once.
     """
 
     __slots__ = (
-        "_params", "_policy", "_kernel", "_q", "_slope", "_w", "_w0", "_rate",
+        "_policy", "_kernel", "_q", "_slope", "_w", "_w0", "_rate",
         "_v0", "_g", "_coeff", "_c1", "_start", "_log_start", "_log_q",
         "_powers", "_last",
     )
@@ -146,7 +148,6 @@ class _DragRoutes:
     ) -> None:
         q = params.q
         rate = kappa(dp, q)
-        self._params = params
         self._policy = policy
         self._kernel = _QPochKernel(q, policy)
         self._q = q
@@ -179,30 +180,30 @@ class _DragRoutes:
 
         e_{q,w}(-+kappa t) are the reciprocals of (+-kappa step; q)_inf, step =
         (q - 1)t + w, bit for bit exp_qw's; a product that underflowed to 0
-        gives inf.  A pole of e_{q,w}(-kappa t) (a vanishing factor of
-        (kappa step; q)_inf) is one of v and raises PoleEncounteredError.
-        e_{q,w}(kappa t) enters v only through its reciprocal, which is 0 at
-        its poles.
+        gives inf.  A pole of e_{q,w}(-kappa t), which the pair reports, is one
+        of v and raises PoleEncounteredError.  e_{q,w}(kappa t) enters v only
+        through its reciprocal, which is 0 at its poles; where it is 0 itself,
+        OverflowError is raised.
         """
         last = self._last
         if last[0] == t:
             _, e_minus, e_plus = last
         else:
             rate = self._rate
-            pair = self._kernel.pair(rate * (self._slope * t + self._w))
-            if pair is None:
-                # A factor of either product vanishes: one exponential at a
-                # time, so the pole raised is e_{q,w}(-kappa t)'s own.
-                e_minus = exp_qw(-rate, t, self._params, self._policy)
-                try:
-                    e_plus = exp_qw(rate, t, self._params, self._policy)
-                except PoleEncounteredError:
-                    e_plus = math.inf
-            else:
-                low, high = pair
-                e_minus = 1.0 / low if low else math.copysign(math.inf, low)
-                e_plus = 1.0 / high if high else math.copysign(math.inf, high)
+            low, high, pole = self._kernel.pair(rate * (self._slope * t + self._w))
+            if pole:
+                raise PoleEncounteredError(
+                    f"e_(q,w) pole: product factor vanishes for a={-rate!r}, t={t!r}, "
+                    f"q={self._q!r}, w={self._w!r}"
+                )
+            e_minus = 1.0 / low if low else math.copysign(math.inf, low)
+            e_plus = 1.0 / high if high else math.copysign(math.inf, high)
             self._last = (t, e_minus, e_plus)
+        if not e_plus:
+            raise OverflowError(
+                f"e_(q,w)(kappa t) underflows to 0 at t={t!r}, "
+                f"q={self._q!r}, w={self._w!r}"
+            )
         homogeneous = self._v0 * e_minus / e_plus
         if self._g == 0.0:
             return homogeneous
@@ -262,7 +263,7 @@ class _DragRoutes:
             if abs(denom) < ZERO_FACTOR_TOL:
                 raise ZeroFactorError(
                     f"denominator factor 1 - kappa u_{j} vanishes for t={t!r}, "
-                    f"q={q!r}, w={self._params.w!r}"
+                    f"q={q!r}, w={self._w!r}"
                 )
             v = (-g * uj + (1.0 + drag) * v) / denom
         return v
@@ -285,7 +286,8 @@ def gravity_drag_velocity(
     the driven term is exactly zero and is not evaluated, leaving
     v0 e_{q,w}(-kappa t)/e_{q,w}(kappa t).  Raises PoleEncounteredError at
     poles of e_{q,w}(-kappa t); at a pole of e_{q,w}(kappa t), which enters
-    only through its reciprocal, that reciprocal is 0.  Propagates
+    only through its reciprocal, that reciprocal is 0.  Raises
+    OverflowError where e_{q,w}(kappa t) underflows to 0.  Propagates
     NonConvergentError.
     """
     return _DragRoutes(dp, params, policy).closed(t)
@@ -387,18 +389,6 @@ def _classical_route(dp: DragParams) -> Callable[[float], float]:
     return classical
 
 
-def _q_shifted_checked(a: float, q: float, count: int) -> float:
-    """Finite product (a; q)_count with a ZeroFactorError on vanishing factors."""
-    value = 1.0
-    for j, factor in enumerate(_q_product_factors(a, q, count)):
-        if abs(factor) < ZERO_FACTOR_TOL:
-            raise ZeroFactorError(
-                f"factor 1 - q^{j} a vanishes for a={a!r}, q={q!r}"
-            )
-        value *= factor
-    return value
-
-
 def gravity_kernel_iteration_sum(z: float, q: float, n_steps: int) -> float:
     """Driven-response kernel as the iteration writes it.
 
@@ -413,13 +403,9 @@ def gravity_kernel_iteration_sum(z: float, q: float, n_steps: int) -> float:
     qj = 1.0
     num = 1.0  # (-z; q)_j
     den = 1.0  # (z; q)_j
-    for j, (factor, num_factor) in enumerate(
-        zip(_q_product_factors(z, q, n_steps), _q_product_factors(-z, q, n_steps))
+    for factor, num_factor in zip(
+        _nonvanishing_factors(z, q, n_steps), _q_product_factors(-z, q, n_steps)
     ):
-        if abs(factor) < ZERO_FACTOR_TOL:
-            raise ZeroFactorError(
-                f"denominator factor 1 - q^{j} z vanishes for z={z!r}, q={q!r}"
-            )
         den *= factor
         total.append(qj * num / den)
         num *= num_factor
@@ -441,7 +427,7 @@ def gravity_kernel_resummed(z: float, q: float, n_steps: int) -> float:
     """
     _check_q(q)
     _check_count(n_steps, "n_steps")
-    den = _q_shifted_checked(z, q, n_steps)
+    den = math.prod(_nonvanishing_factors(z, q, n_steps), start=1.0)
     # Gaussian binomials via the (q; q)_j prefixes, built incrementally.
     qq = [1.0, *accumulate(_q_product_factors(q, q, n_steps), operator.mul)]
     terms: list[float] = []

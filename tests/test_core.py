@@ -307,8 +307,9 @@ def test_head_only_zero_factor_test_changes_nothing(q, tol):
 def one_at_a_time(a, q, policy):
     """What the one-pass pair must give, from one _qpochhammer_inf call per sign.
 
-    None where a factor of either vanishes, the message where the call at a
-    runs out of max_terms, else the two values.
+    The message where the call at a runs out of max_terms, (0.0, 0.0, True)
+    where a factor of (a; q)_inf vanishes, else the two values and False; a
+    vanishing factor of (-a; q)_inf reads 0.0, as the call at -a gives it.
     """
     results = []
     for x in (a, -a):
@@ -316,11 +317,11 @@ def one_at_a_time(a, q, policy):
             results.append(core._qpochhammer_inf(x, q, policy))
         except NonConvergentError as exc:
             results.append(str(exc))
-    if any(isinstance(r, tuple) and r[1] for r in results):
-        return None
     if isinstance(results[0], str):
         return results[0]
-    return results[0][0], results[1][0]
+    if results[0][1]:
+        return 0.0, 0.0, True
+    return results[0][0], results[1][0], False
 
 
 @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])

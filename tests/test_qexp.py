@@ -187,13 +187,13 @@ def exp_qw_two_calls(a, t, params, policy):
 def drag_pair(routes, t):
     """The pair e(-kappa t), e(kappa t) a drag route object forms at t, read from its memo.
 
-    closed(t) divides by e(kappa t), which is 0 where its product overflowed
-    (at t = 3600 for q = 0.99 and 0.999 here), and then raises
-    ZeroDivisionError after the memo holds the pair.
+    closed(t) raises OverflowError where e(kappa t) is 0, its product past
+    the double range (at t = 3600 for q = 0.99 and 0.999 here), after the
+    memo holds the pair.
     """
     try:
         routes.closed(t)
-    except ZeroDivisionError:
+    except OverflowError:
         pass
     return routes._last[1:]
 

@@ -572,6 +572,112 @@ def test_iteration_where_kappa_underflows_is_the_undamped_fall():
 
 
 # ---------------------------------------------------------------------------
+# the failure contract: a float, or a failure the CLI maps to a flag
+
+MAPPED_FAILURES = (PoleEncounteredError, ZeroFactorError, NonConvergentError, OverflowError)
+
+
+def test_reciprocal_exponential_past_the_double_range_raises_overflow():
+    # e(kappa t) is 0 where its product overflowed, so v0 e(-kappa t)/e(kappa t)
+    # has no double value.  Closed and series raise OverflowError, the second
+    # from the memo the first stored.
+    cases = [
+        (DragParams(1.0, 2.0, 9.8, 1.0), 0.0, DeformationParams(0.999, 1.0)),
+        (DragParams(1.0, 4.975, 0.0, 1.0), 3600.0, DeformationParams(0.99, 0.5)),
+    ]
+    for dp, t, params in cases:
+        for route in (gravity_drag_velocity, gravity_drag_velocity_series):
+            with pytest.raises(OverflowError, match="underflows to 0"):
+                route(dp, t, params)
+        routes = resist._DragRoutes(dp, params, TruncationPolicy())
+        with pytest.raises(OverflowError):
+            routes.closed(t)
+        assert routes._last[0] == t and routes._last[2] == 0.0
+        with pytest.raises(OverflowError):
+            routes.series(t)
+
+
+@given(
+    q=st.floats(min_value=0.05, max_value=0.999),
+    w=st.floats(min_value=0.0, max_value=1.0),
+    k=st.floats(min_value=0.01, max_value=10.0),
+    m=st.floats(min_value=0.1, max_value=10.0),
+    g=st.sampled_from([0.0, 9.8]),
+    v0=st.floats(min_value=-5.0, max_value=5.0),
+    t=st.floats(min_value=-50.0, max_value=50.0),
+)
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_drag_routes_return_a_float_or_a_mapped_failure(q, w, k, m, g, v0, t):
+    # cli._evaluate_block flags these four failures; anything else raised by a
+    # route would end a table run in a traceback.
+    dp = DragParams(m=m, k=k, g=g, v0=v0)
+    routes = resist._DragRoutes(dp, DeformationParams(q=q, w=w), TruncationPolicy())
+    for route in (routes.closed, routes.series, routes.iterative):
+        try:
+            value = route(t)
+        except MAPPED_FAILURES:
+            continue
+        assert isinstance(value, float)
+
+
+def one_exponential_at_a_time(dp, t, params, bracket):
+    """The closed or series velocity from one exp_qw call per exponential.
+
+    A pole of e(-kappa t) raises; a pole of e(kappa t) reads +inf, so its
+    reciprocal is 0.
+    """
+    policy = TruncationPolicy()
+    q = params.q
+    rate = kappa(dp, q)
+    e_minus = exp_qw(-rate, t, params, policy)
+    try:
+        e_plus = exp_qw(rate, t, params, policy)
+    except PoleEncounteredError:
+        e_plus = math.inf
+    homogeneous = dp.v0 * e_minus / e_plus
+    if dp.g == 0.0:
+        return homogeneous
+    coeff = (1.0 + q) * dp.m * dp.g / (2.0 * dp.k)
+    return homogeneous + coeff * e_minus * bracket(rate * (t - params.w0), q, policy)
+
+
+def value_or_failure(evaluate, *args):
+    """repr of the value, or the name of the library or arithmetic error raised."""
+    try:
+        return repr(evaluate(*args))
+    except (HahnCalcError, ArithmeticError) as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("w", [0.0, 0.1])
+def test_poles_match_one_exponential_at_a_time(q, w):
+    # At the t where kappa step = +q^-k a factor of (kappa step; q)_inf
+    # vanishes, a pole of v; where kappa step = -q^-k one of
+    # (-kappa step; q)_inf does, and v is finite.
+    params = DeformationParams(q=q, w=w)
+    routes = (
+        (gravity_drag_velocity, qexp._exp_qinv_difference),
+        (gravity_drag_velocity_series, qexp._exp_qinv_odd_part),
+    )
+    seen = set()
+    for g in (0.0, 9.8):
+        for v0 in (2.0, -2.0, -0.0):
+            dp = DragParams(m=1.0, k=0.5, g=g, v0=v0)
+            rate = kappa(dp, q)
+            for sign in (1.0, -1.0):
+                for k in range(4):
+                    t = (w - sign / (rate * q**k)) / (1.0 - q)
+                    for route, bracket in routes:
+                        got = value_or_failure(route, dp, t, params)
+                        assert got == value_or_failure(
+                            one_exponential_at_a_time, dp, t, params, bracket
+                        )
+                        seen.add(got == "PoleEncounteredError")
+    assert seen == {True, False}
+
+
+# ---------------------------------------------------------------------------
 # head-only zero-factor tests
 
 
