@@ -7,12 +7,9 @@ Subcommands:
 * drag: resisted-fall velocities, closed, series, iterative, and classical
   routes.  Each route solves the one equation of motion for every --g;
   --g 0 is pure drag.  The iterative route stops by its own rule (see
-  resist), within the --max-terms budget.  Each (q, w) block builds one
-  route object (resist._DragRoutes), so the lattice constants and the
-  (a; q)_inf kernel are formed once per block and a row's closed and
-  series cells share one evaluation of e_{q,w}(-+kappa t); the classical
-  column's constants are formed once per table.  Cells are flagged pole
-  only at poles of v, those of e_{q,w}(-kappa t); at a pole of
+  resist), within the --max-terms budget.  A row's closed and series
+  cells share one evaluation of e_{q,w}(-+kappa t).  Cells are flagged
+  pole only at poles of v, those of e_{q,w}(-kappa t); at a pole of
   e_{q,w}(kappa t) v is finite.
 * verify: run the randomized identity suite and print one line per
   identity with its worst residual and pass/fail status.
@@ -21,10 +18,12 @@ Subcommands:
 
 kinematics and drag are a one-point sweep without the q and w columns: all
 three table commands run through one path, driven by the BASES registry of
-route names and per-command setups.  Importing this module loads only
-errors from the package: each function imports the modules it runs, so a
-drag run never loads kinematics and a kinematics run never loads resist or
-qexp.
+route names and per-command setups.  Each (q, w) block builds one route
+object (kinematics._KinematicRoutes, resist._DragRoutes), which forms its
+constants once, and binds each route by name to its method.  Importing
+this module loads only errors from the package: each function imports the
+modules it runs, so a drag run never loads kinematics and a kinematics run
+never loads resist or qexp.
 
 Tables go to standard output as CSV (with a '# key=value' metadata header)
 or as a single JSON object with --format json, rendered column by column
@@ -314,63 +313,29 @@ def _agreement_metadata(
     return out
 
 
-_Evaluators = Callable[["DeformationParams"], dict[str, Callable[[float], float]]]
-
-
 def _kinematics_setup(
     args: argparse.Namespace, parser: _Parser, policy: TruncationPolicy
-) -> tuple[dict[str, object], _Evaluators]:
-    from .kinematics import (
-        KinematicState,
-        accel_quotient_velocity,
-        iterate_first_order,
-        position_at_fixed_point,
-        solve_second_order_constant_accel,
-        uniform_accel_position,
-    )
+) -> tuple[dict[str, object], Callable[[DeformationParams], object]]:
+    from .kinematics import KinematicState, _KinematicRoutes
 
     state = _usage_checked(parser, KinematicState, args.x0, args.v0, args.a)
-
-    def evaluators(params: DeformationParams) -> dict[str, Callable[[float], float]]:
-        x_w0 = position_at_fixed_point(state, params)
-        rhs = accel_quotient_velocity(state, params)
-        return {
-            "closed": lambda t: uniform_accel_position(state, t, params.q),
-            "iterative": lambda t: iterate_first_order(
-                rhs, t, params, x_w0, policy
-            ).value,
-            "second-order": lambda t: solve_second_order_constant_accel(
-                state, t, params, policy
-            ),
-            "classical": lambda t: state.x0 + state.v0 * t + 0.5 * state.a * t * t,
-        }
-
-    return {"x0": state.x0, "v0": state.v0, "a": state.a}, evaluators
+    metadata = {"x0": state.x0, "v0": state.v0, "a": state.a}
+    return metadata, lambda params: _KinematicRoutes(state, params, policy)
 
 
 def _drag_setup(
     args: argparse.Namespace, parser: _Parser, policy: TruncationPolicy
-) -> tuple[dict[str, object], _Evaluators]:
-    from .resist import DragParams, _classical_route, _DragRoutes
+) -> tuple[dict[str, object], Callable[[DeformationParams], object]]:
+    from .resist import DragParams, _DragRoutes
 
     dp = _usage_checked(parser, DragParams, m=args.m, k=args.k, g=args.g, v0=args.v0)
-    classical = _classical_route(dp)  # the same for every (q, w)
-
-    def evaluators(params: DeformationParams) -> dict[str, Callable[[float], float]]:
-        routes = _DragRoutes(dp, params, policy)
-        return {
-            "closed": routes.closed,
-            "series": routes.series,
-            "iterative": routes.iterative,
-            "classical": classical,
-        }
-
-    return {"m": dp.m, "k": dp.k, "g": dp.g, "v0": dp.v0}, evaluators
+    metadata = {"m": dp.m, "k": dp.k, "g": dp.g, "v0": dp.v0}
+    return metadata, lambda params: _DragRoutes(dp, params, policy)
 
 
 # The table commands: help text, route names, physics arguments, and a setup
 # that validates those arguments once and returns the command's metadata and
-# its per-(q, w) evaluator factory.
+# a factory of its route object per (q, w), with a method per route name.
 BASES = {
     "kinematics": (
         "constant-acceleration trajectories on the lattice",
@@ -431,7 +396,7 @@ def _cmd_table(args: argparse.Namespace, parser: _Parser) -> tuple[TrajectoryTab
     route_names = list(requested)
     if args.base == "kinematics" and "classical" not in route_names:
         route_names.append("classical")  # always carry the classical reference
-    physics, evaluators = setup(args, parser, policy)
+    physics, routes_at = setup(args, parser, policy)
 
     first = grid[0]
     if sweeping:
@@ -458,7 +423,9 @@ def _cmd_table(args: argparse.Namespace, parser: _Parser) -> tuple[TrajectoryTab
     }
     flags: list[str] = []
     for params in grid:
-        block_columns, block_flags = _evaluate_block(ts, route_names, evaluators(params))
+        block = routes_at(params)
+        evaluators = {name: getattr(block, name.replace("-", "_")) for name in route_names}
+        block_columns, block_flags = _evaluate_block(ts, route_names, evaluators)
         if sweeping:
             columns["q"].extend([params.q] * len(ts))
             columns["w"].extend([params.w] * len(ts))

@@ -13,7 +13,8 @@ constant-acceleration trajectory are provided:
   (solve_second_order_constant_accel).
 
 All three agree within truncation error; the iteration is deliberately
-ignorant of the closed forms so it can serve as an oracle for them.
+ignorant of the closed forms so it can serve as an oracle for them.  With
+the classical parabola they are the methods of _KinematicRoutes, one per (q, w).
 
 Boundary data are anchored at the fixed point w0 = w/(1-q) of the lattice
 map t -> qt + w, where the difference quotient degenerates and every
@@ -154,8 +155,6 @@ def iterate_first_order(
     params: DeformationParams,
     x_at_w0: float,
     policy: TruncationPolicy = DEFAULT_POLICY,
-    *,
-    anchor: float | None = None,
 ) -> IterationReport:
     """Solve x(qt+w) - x(t) = ((q-1)t + w) rhs(t) for x(t), given x(w0).
 
@@ -170,8 +169,8 @@ def iterate_first_order(
     or the first is already below tol, and q > 1/2, the Gauss route
     evaluates rhs at the nodes of the Gauss rule of the lattice measure, a
     number of them that does not depend on q.  It is taken only where its
-    rounding fits the value returned: anchor, x_at_w0 unless given, is what
-    the caller adds to the sum, and a sum that cancels against it sums its
+    rounding fits the value returned: x_at_w0 is the sum's anchor, what it
+    is added to, and a sum that cancels against it sums its
     first ceil(3/(1 - q)) increments one by one and takes only the rest by
     the rule.  The rule assumes rhs analytic at w0, and probes of rhs down
     to the plain route's depth check that and send the call back to the
@@ -182,13 +181,64 @@ def iterate_first_order(
     NonConvergentError if they run out before the plain stopping rule is met.
     """
     u0 = lattice_step(t, params)
-    if anchor is None:
-        anchor = x_at_w0
     total, steps, summed = _lattice_sum(
-        rhs, t, params, policy, -u0, anchor, "first-order iteration at t={!r}", t
+        rhs, t, params, policy, -u0, x_at_w0, "first-order iteration at t={!r}", t
     )
     residual = abs(advance_n(t, summed, params) - params.w0)
     return IterationReport(value=x_at_w0 + total, steps=steps, residual=residual)
+
+
+class _KinematicRoutes:
+    """The constant-acceleration routes at one (q, w), for one state and policy.
+
+    x(w0), the quotient velocity, C = v0 + 2 a w0/(1+q), q^2 - q and h's
+    right-hand side (see solve_second_order_constant_accel) are formed once.
+    """
+
+    __slots__ = ("_state", "_params", "_policy", "_x_w0", "_rhs", "_slope", "_factor", "_rhs_h")
+
+    def __init__(
+        self, state: KinematicState, params: DeformationParams, policy: TruncationPolicy
+    ) -> None:
+        q = params.q
+        w = params.w
+        qa = q * state.a
+        q_minus_1 = q - 1.0
+
+        def rhs_h(u: float) -> float:
+            return qa * (q_minus_1 * u + w)
+
+        self._state = state
+        self._params = params
+        self._policy = policy
+        self._x_w0 = position_at_fixed_point(state, params)
+        self._rhs = accel_quotient_velocity(state, params)
+        self._slope = state.v0 + 2.0 * state.a * params.w0 / (1.0 + q)
+        # q^2 - q as q (q - 1), where q - 1 is exact for q >= 1/2: q*q would round
+        # before the subtraction cancels.
+        self._factor = q * q_minus_1
+        self._rhs_h = rhs_h
+
+    def closed(self, t: float) -> float:
+        return uniform_accel_position(self._state, t, self._params.q)
+
+    def iterative(self, t: float) -> float:
+        """iterate_first_order of the quotient velocity, anchored at x(w0)."""
+        return iterate_first_order(self._rhs, t, self._params, self._x_w0, self._policy).value
+
+    def second_order(self, t: float) -> float:
+        factor = self._factor
+        linear = self._x_w0 + self._slope * (t - self._params.w0)
+        delta_h, _, _ = _lattice_sum(
+            self._rhs_h, t, self._params, self._policy, -lattice_step(t, self._params),
+            linear * factor, "first-order iteration at t={!r}", t,
+        )
+        return linear + delta_h / factor
+
+    def classical(self, t: float) -> float:
+        """The undeformed parabola x0 + v0 t + a t^2/2."""
+        state = self._state
+        return state.x0 + state.v0 * t + 0.5 * state.a * t * t
 
 
 def solve_second_order_constant_accel(
@@ -215,21 +265,4 @@ def solve_second_order_constant_accel(
     and x(t) = x(w0) + C s + (h(t) - h(w0))/(q^2 - q).  No quotient by a
     power of s is taken, so there is no 0/0 at the fixed point.
     """
-    q = params.q
-    s = t - params.w0
-    slope = state.v0 + 2.0 * state.a * params.w0 / (1.0 + q)
-    x_at_w0 = position_at_fixed_point(state, params)
-    qa = q * state.a
-    q_minus_1 = q - 1.0
-    w = params.w
-
-    def rhs_h(u: float) -> float:
-        return qa * (q_minus_1 * u + w)
-
-    # q^2 - q as q (q - 1), where q - 1 is exact for q >= 1/2: q*q would round
-    # before the subtraction cancels.
-    factor = q * q_minus_1
-    linear = x_at_w0 + slope * s
-    anchor = linear * factor
-    delta_h = iterate_first_order(rhs_h, t, params, 0.0, policy, anchor=anchor).value
-    return linear + delta_h / factor
+    return _KinematicRoutes(state, params, policy).second_order(t)

@@ -24,9 +24,8 @@ All three are methods of one route object per (q, w), _DragRoutes, which
 forms the lattice constants, the (a; q)_inf kernel of its q and a table of
 q^j once, so a row costs one kernel call for the closed and series routes
 and the iteration's own arithmetic; each public function builds a fresh
-one, and the CLI builds one per (q, w) block of its table.  The classical
-reference has no (q, w): _classical_route forms its constants once for a
-whole table.
+one, and the CLI builds one per (q, w) block of its table, whose classical
+column is the object's classical route.
 
 Poles: e_{q,w}(-kappa t) multiplies v, so a pole of it (a vanishing factor
 of (kappa step; q)_inf, step = (q-1)t + w, which the kernel's pair reports)
@@ -124,7 +123,7 @@ def kappa(dp: DragParams, q: float) -> float:
 
 
 class _DragRoutes:
-    """The three deformed drag routes at one (q, w), for one DragParams and policy.
+    """The drag routes at one (q, w), for one DragParams and policy.
 
     kappa, the driven term's coefficient (1+q) m g/(2k), the iteration's
     series coefficient c_1 = g - 2 kappa v0, its start radius and log q are
@@ -134,13 +133,13 @@ class _DragRoutes:
     reaches deeper.  The closed and series routes at one t share
     e_{q,w}(-kappa t) and e_{q,w}(kappa t), one pass of the kernel's pair
     product, through a memo of the last t, so a table row that asks for
-    both evaluates the pair once.
+    both evaluates the pair once.  classical is _classical_route(dp).
     """
 
     __slots__ = (
         "_policy", "_kernel", "_q", "_slope", "_w", "_w0", "_rate",
         "_v0", "_g", "_coeff", "_c1", "_start", "_log_start", "_log_q",
-        "_powers", "_last",
+        "_powers", "_last", "classical",
     )
 
     def __init__(
@@ -168,6 +167,7 @@ class _DragRoutes:
         self._log_q = math.log(q)
         self._powers = [1.0]  # q**j for j < len(self._powers)
         self._last = (math.nan, 0.0, 0.0)  # (t, e_minus, e_plus); nan equals no t
+        self.classical = _classical_route(dp)
 
     def _velocity(
         self, t: float, bracket: Callable[[float, float, TruncationPolicy], float]

@@ -1,6 +1,8 @@
-"""End-to-end tests of the command line interface via subprocess."""
+"""Tests of the command line interface: end to end via subprocess, and in
+process for the names it binds and the functions the benchmark's trace wraps."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -356,3 +358,52 @@ def test_sweep_bad_axis_is_usage_error():
         "--t-start", "0", "--t-end", "1", "--samples", "2",
     )
     assert proc.returncode == 1
+
+
+# ---------------------------------------------------------------------------
+# in process: route names and the trace's seams
+
+
+def test_route_names_resolve_to_route_object_attributes():
+    from hahncalc import cli
+    from hahncalc.kinematics import _KinematicRoutes
+    from hahncalc.resist import _DragRoutes
+
+    for names, routes in ((cli.KINEMATICS_ROUTES, _KinematicRoutes), (cli.DRAG_ROUTES, _DragRoutes)):
+        for name in names:
+            assert hasattr(routes, name.replace("-", "_")), (routes.__name__, name)
+
+
+def test_evaluate_block_takes_a_dict_of_callables():
+    # perfbench/child.py times rows by wrapping cli._evaluate_block(ts,
+    # route_names, evaluators) and passing it a dict of callables.
+    from hahncalc import cli
+    from hahncalc.errors import NonConvergentError, PoleEncounteredError
+
+    def pole_at_1(t):
+        if t == 1.0:
+            raise PoleEncounteredError("pole")
+        return 2.0 * t
+
+    def budget_at_2(t):
+        if t == 2.0:
+            raise NonConvergentError("budget")
+        return t + 0.5
+
+    columns, flags = cli._evaluate_block(
+        [0.0, 1.0, 2.0], ["a", "b"], {"a": pole_at_1, "b": budget_at_2}
+    )
+    assert columns == {"a": [0.0, None, 4.0], "b": [0.5, 1.5, None]}
+    assert flags == ["ok", "pole", "nonconvergent"]
+
+
+def test_qpochhammer_inf_returns_value_and_zero_factor_hit():
+    # perfbench/child.py counts product factors by wrapping
+    # core._qpochhammer_inf(a, q, policy), which returns (value, hit).
+    from hahncalc import core
+
+    value, hit = core._qpochhammer_inf(0.5, 0.5, core.DEFAULT_POLICY)
+    assert value == pytest.approx(math.prod(1.0 - 0.5 * 0.5**k for k in range(80)), rel=1e-14)
+    assert hit is False
+    value, hit = core._qpochhammer_inf(2.0, 0.5, core.DEFAULT_POLICY)
+    assert (value, hit) == (0.0, True)

@@ -9,7 +9,9 @@ routes of the lattice sum live in a module of their own, so:
 * `import hahncalc, hahncalc.cli` loads only cli and errors from the
   package, and no dataclasses;
 * a drag sweep loads neither kinematics nor the Gauss module;
-* a kinematics sweep loads neither resist nor qexp.
+* a kinematics sweep loads neither resist nor qexp, and one whose sums all
+  stay on the plain route, such as every sum at q <= 1/2, not the Gauss
+  module either.
 """
 
 import json
@@ -42,6 +44,9 @@ print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)
 DRAG_SWEEP = ["sweep", "drag", "--sweep", "q=0.3:0.99:4", "--sweep", "w=0:1:2", "--samples", "5"]
 KINEMATICS_SWEEP = [
     "sweep", "kinematics", "--sweep", "q=0.3:0.99:4", "--sweep", "w=0:1:2", "--samples", "5"
+]
+LOW_Q_KINEMATICS_SWEEP = [
+    "sweep", "kinematics", "--sweep", "q=0.3:0.5:3", "--sweep", "w=0:1:3", "--samples", "5"
 ]
 
 
@@ -90,6 +95,12 @@ def test_kinematics_sweep_loads_neither_resist_nor_qexp():
     assert "dataclasses" not in modules
     # Its long lattice sums at q = 0.99 take the Gauss route.
     assert {"hahncalc.kinematics", "hahncalc._gauss"} <= modules
+
+
+def test_low_q_kinematics_sweep_does_not_load_the_gauss_routes():
+    modules = loaded_modules(LOW_Q_KINEMATICS_SWEEP)
+    assert "hahncalc.kinematics" in modules
+    assert "hahncalc._gauss" not in modules
 
 
 def test_dir_lists_every_public_name_before_any_is_used():

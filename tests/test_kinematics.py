@@ -7,8 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hahncalc import (
+    DEFAULT_POLICY,
     DeformationParams,
     KinematicState,
+    TruncationPolicy,
     accel_quotient_velocity,
     hahn_derivative,
     iterate_first_order,
@@ -19,6 +21,9 @@ from hahncalc import (
     uniform_accel_velocity,
     uniform_velocity_position,
 )
+from hahncalc.core import _lattice_sum, lattice_step
+from hahncalc.errors import HahnCalcError
+from hahncalc.kinematics import _KinematicRoutes
 
 P = DeformationParams(q=0.5, w=0.1)
 STATE = KinematicState(x0=1.0, v0=2.0, a=3.0)
@@ -240,3 +245,69 @@ def test_classical_limit_shrinks_along_eps():
         second = solve_second_order_constant_accel(state, t, params)
         errors.append(max(abs(closed - newton), abs(second - newton)))
     assert errors[0] > errors[1] > errors[2]
+
+
+# ---------------------------------------------------------------------------
+# the route object against the per-cell composition it replaced
+
+
+def composed_second_order(state, t, params, policy):
+    """The second-order route composed per cell, as before the route object.
+
+    Stage 1 went through iterate_first_order with x(w0) = 0 and the anchor
+    passed apart, so its increment is 0.0 + the lattice sum.
+    """
+    q = params.q
+    s = t - params.w0
+    slope = state.v0 + 2.0 * state.a * params.w0 / (1.0 + q)
+    x_at_w0 = position_at_fixed_point(state, params)
+    qa = q * state.a
+    q_minus_1 = q - 1.0
+    w = params.w
+
+    def rhs_h(u):
+        return qa * (q_minus_1 * u + w)
+
+    factor = q * q_minus_1
+    linear = x_at_w0 + slope * s
+    anchor = linear * factor
+    total, _, _ = _lattice_sum(
+        rhs_h, t, params, policy, -lattice_step(t, params), anchor,
+        "first-order iteration at t={!r}", t,
+    )
+    delta_h = 0.0 + total
+    return linear + delta_h / factor
+
+
+def composed_routes(state, params, policy):
+    """Each kinematic route composed per cell from the public functions."""
+    rhs = accel_quotient_velocity(state, params)
+    x_w0 = position_at_fixed_point(state, params)
+    return {
+        "closed": lambda t: uniform_accel_position(state, t, params.q),
+        "iterative": lambda t: iterate_first_order(rhs, t, params, x_w0, policy).value,
+        "second_order": lambda t: composed_second_order(state, t, params, policy),
+        "classical": lambda t: state.x0 + state.v0 * t + 0.5 * state.a * t * t,
+    }
+
+
+def outcome(fn, t):
+    """repr of fn(t), or the type of the exception it raised."""
+    try:
+        return repr(fn(t))
+    except (HahnCalcError, ArithmeticError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7722, 0.9, 0.99])
+@pytest.mark.parametrize("w", [0.0, 0.1, 1.0])
+def test_route_object_matches_the_per_cell_composition(q, w):
+    params = DeformationParams(q=q, w=w)
+    ts = [-1.0 + 0.25 * i for i in range(17)] + [params.w0 - 1e-9, params.w0 + 1e-9]
+    for state in (STATE, KinematicState(x0=0.3, v0=-1.7, a=2.5)):
+        for policy in (DEFAULT_POLICY, TruncationPolicy(max_terms=50)):
+            routes = _KinematicRoutes(state, params, policy)
+            for name, oracle in composed_routes(state, params, policy).items():
+                method = getattr(routes, name)
+                for t in ts:
+                    assert outcome(method, t) == outcome(oracle, t), (name, state, policy, t)

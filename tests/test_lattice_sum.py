@@ -23,6 +23,7 @@ from hahncalc import (
     hahn_integral,
     iterate_first_order,
     position_at_fixed_point,
+    solve_second_order_constant_accel,
 )
 
 # A trajectory whose anchor x(w0), about 5000 at q = 0.99 and w = 1, cancels
@@ -157,13 +158,24 @@ def test_route_choice(f, q, gauss, gauss_calls):
     assert any(total is not None for total, _ in gauss_calls) == gauss
 
 
-@pytest.mark.parametrize("anchored", [False, True])
-def test_anchor_decides_between_gauss_and_head_tail(anchored, gauss_calls, monkeypatch):
+@pytest.mark.parametrize(
+    "route, anchored",
+    [("iterative", False), ("iterative", True), ("second_order", False), ("second_order", True)],
+    ids=["False", "True", "second_order-False", "second_order-True"],
+)
+def test_anchor_decides_between_gauss_and_head_tail(route, anchored, gauss_calls, monkeypatch):
     head_tail = spy_on(monkeypatch, "_lattice_head_tail")
-    params = DeformationParams(q=0.99, w=1.0)
-    rhs = accel_quotient_velocity(ANCHORED_STATE, params)
-    x_w0 = position_at_fixed_point(ANCHORED_STATE, params) if anchored else 0.0
-    iterate_first_order(rhs, 1.3, params, x_w0)
+    if route == "iterative":
+        params = DeformationParams(q=0.99, w=1.0)
+        rhs = accel_quotient_velocity(ANCHORED_STATE, params)
+        x_w0 = position_at_fixed_point(ANCHORED_STATE, params) if anchored else 0.0
+        iterate_first_order(rhs, 1.3, params, x_w0)
+    else:
+        # Stage 1 is anchored at (x(w0) + C s)(q^2 - q): about 48 at w = 1,
+        # against an increment of h that cancels down to x(t) (q^2 - q), and 0
+        # at w = 0, where w0 = 0 and x(w0) = C = 0.
+        params = DeformationParams(q=0.99, w=1.0 if anchored else 0.0)
+        solve_second_order_constant_accel(ANCHORED_STATE, 1.3, params)
     assert bool(head_tail) == anchored
     if anchored:
         # Declined for its rounding on the first rule, before any doubling;
