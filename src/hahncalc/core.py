@@ -15,7 +15,7 @@ All functions are pure and safe for concurrent use.  Infinite sums and
 products are truncated under an explicit TruncationPolicy and raise
 NonConvergentError instead of returning partial answers when the stopping
 rule cannot be met.  Every infinite sum in the package stops by one rule,
-written once in _sum_until_small: CONSECUTIVE_SMALL successive terms below
+written once in _terms_until_small: CONSECUTIVE_SMALL successive terms below
 tol, with every summed term counted against max_terms.  The infinite
 product (a; q)_inf is evaluated by one kernel per q and policy,
 _QPochKernel, which forms log q, log tol and the series' cap once and picks
@@ -182,26 +182,6 @@ class TruncationPolicy(FrozenRecord):
 DEFAULT_POLICY = TruncationPolicy()
 
 
-def _sum_until_small(
-    terms: Iterator[float],
-    policy: TruncationPolicy,
-    what: str,
-    *args: object,
-    spent: int = 0,
-) -> tuple[float, int]:
-    """Sum an infinite series under policy; return (sum, terms summed).
-
-    The one stopping rule for every series in the package: the sum stops
-    after CONSECUTIVE_SMALL successive terms with |term| < policy.tol, and
-    every term counts against policy.max_terms, as do the spent evaluations
-    a caller made outside the series.  Terms are accumulated with exactly
-    rounded summation.  Raises NonConvergentError, naming the series as
-    what.format(*args), when the budget runs out first.
-    """
-    summed = _terms_until_small(terms, policy, what, *args, spent=spent)
-    return math.fsum(summed), len(summed)
-
-
 def _terms_until_small(
     terms: Iterator[float],
     policy: TruncationPolicy,
@@ -209,7 +189,14 @@ def _terms_until_small(
     *args: object,
     spent: int = 0,
 ) -> list[float]:
-    """The terms _sum_until_small sums, as a list, under the same rule.
+    """The terms of an infinite series under policy, as a list.
+
+    The one stopping rule for every series in the package: the terms stop
+    after CONSECUTIVE_SMALL successive ones with |term| < policy.tol, and
+    every term counts against policy.max_terms, as do the spent evaluations
+    a caller made outside the series.  Callers sum the list with exactly
+    rounded summation.  Raises NonConvergentError, naming the series as
+    what.format(*args), when the budget runs out first.
 
     -tol < term < tol is abs(term) < tol without the call, NaN included.
     """

@@ -39,7 +39,6 @@ from .core import (
     _alternating_fsum,
     _check_q,
     _qpochhammer_inf,
-    _sum_until_small,
     _terms_until_small,
     lattice_step,
 )
@@ -95,7 +94,7 @@ def exp_q_series(x: float, q: float, policy: TruncationPolicy = DEFAULT_POLICY) 
     radius raise OutOfRadiusError instead of returning a divergent partial
     sum.  Terms are generated by the ratio recurrence t_n = t_{n-1} x/[n]_q
     and summed under policy by the package's one stopping rule
-    (core._sum_until_small).
+    (core._terms_until_small).
     """
     _check_q(q)
     if abs(x) * (1.0 - q) >= 1.0 - OUT_OF_RADIUS_MARGIN:
@@ -112,7 +111,7 @@ def exp_q_series(x: float, q: float, policy: TruncationPolicy = DEFAULT_POLICY) 
             qn *= q
             term *= x * (1.0 - q) / (1.0 - qn)
 
-    return _sum_until_small(terms(), policy, "e_q series at x={!r}, q={!r}", x, q)[0]
+    return math.fsum(_terms_until_small(terms(), policy, "e_q series at x={!r}, q={!r}", x, q))
 
 
 def exp_qinv_series(x: float, q: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
@@ -124,7 +123,7 @@ def exp_qinv_series(x: float, q: float, policy: TruncationPolicy = DEFAULT_POLIC
     q^(-j)-sized quantity is ever formed.
     """
     _check_q(q)
-    return _sum_until_small(_qinv_terms(x, q), policy, _QINV_WHAT, x, q)[0]
+    return math.fsum(_terms_until_small(_qinv_terms(x, q), policy, _QINV_WHAT, x, q))
 
 
 _QINV_WHAT = "e_(1/q) series at x={!r}, q={!r}"
@@ -172,7 +171,7 @@ def _exp_qinv_odd_part(x: float, q: float, policy: TruncationPolicy) -> float:
                 * ((1.0 - q ** (2 * n + 3)) / (1.0 - q))
             )
 
-    return 2.0 * _sum_until_small(terms(), policy, "odd e_(1/q) series at x={!r}", x)[0]
+    return 2.0 * math.fsum(_terms_until_small(terms(), policy, "odd e_(1/q) series at x={!r}", x))
 
 
 def odd_part_qinv(

@@ -30,7 +30,7 @@ from hahncalc import (
     odd_part_qinv,
     q_number,
 )
-from hahncalc.core import ZERO_FACTOR_TOL, _sum_until_small
+from hahncalc.core import ZERO_FACTOR_TOL, _terms_until_small
 
 P = DeformationParams(q=0.5, w=0.1)
 PURE = DragParams(m=1.0, k=0.5, g=0.0, v0=2.0)
@@ -220,7 +220,7 @@ def odd_series_loop_route(dp, t, params, policy):
             )
             n += 1
 
-    odd_sum, _ = _sum_until_small(odd_terms(), policy, "odd drag series")
+    odd_sum = math.fsum(_terms_until_small(odd_terms(), policy, "odd drag series"))
     return homogeneous + (1.0 + q) * dp.m * dp.g / dp.k * e_minus * odd_sum
 
 
@@ -260,7 +260,7 @@ def iterative_loop_route(dp, t, params, policy):
             term *= -rate * x * (1.0 + qn) / q_int
             qn *= q
 
-    v, _ = _sum_until_small(terms(), policy, "iteration", spent=depth)
+    v = math.fsum(_terms_until_small(terms(), policy, "iteration", spent=depth))
     u0 = lattice_step(t, params)
     for j in range(depth - 1, -1, -1):
         uj = u0 * q**j
