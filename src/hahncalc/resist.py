@@ -65,7 +65,7 @@ from .core import (
     _terms_until_small,
 )
 from .errors import PoleEncounteredError, ZeroFactorError
-from .qexp import _exp_qinv_difference, _exp_qinv_odd_part
+from .qexp import _exp_qinv_odd_part, _exp_qinv_odd_sum
 
 __all__ = [
     "DragParams",
@@ -211,8 +211,12 @@ class _DragRoutes:
         return homogeneous + self._coeff * e_minus * bracket(x_arg, self._q, self._policy)
 
     def closed(self, t: float) -> float:
-        """The closed form, bracket e_{1/q}(X) - e_{1/q}(-X) (gravity_drag_velocity)."""
-        return self._velocity(t, _exp_qinv_difference)
+        """The closed form, bracket e_{1/q}(X) - e_{1/q}(-X) (gravity_drag_velocity).
+
+        The bracket is twice the sum of the odd terms of e_{1/q}(X)'s series
+        (qexp._exp_qinv_odd_sum), which does not cancel as kappa -> 0.
+        """
+        return self._velocity(t, _exp_qinv_odd_sum)
 
     def series(self, t: float) -> float:
         """The odd series form (gravity_drag_velocity_series)."""
@@ -282,7 +286,9 @@ def gravity_drag_velocity(
              [e_{1/q}(X) - e_{1/q}(-X)],   X = kappa (t - w0).
 
     The odd bracket is a function of the distance to the lattice fixed
-    point, which is what pins v(w0) = v0 exactly.  With g = 0 (pure drag)
+    point, which is what pins v(w0) = v0 exactly.  It is summed as twice
+    the odd terms of e_{1/q}(X)'s series, with no subtraction, so it keeps
+    its relative accuracy as k -> 0.  With g = 0 (pure drag)
     the driven term is exactly zero and is not evaluated, leaving
     v0 e_{q,w}(-kappa t)/e_{q,w}(kappa t).  Raises PoleEncounteredError at
     poles of e_{q,w}(-kappa t); at a pole of e_{q,w}(kappa t), which enters
@@ -369,7 +375,8 @@ def classical_drag_velocity(dp: DragParams, t: float) -> float:
     """Undeformed resisted fall: v0 e^(-kt/m) + (mg/k)(1 - e^(-kt/m)).
 
     The q -> 1, w -> 0 limit of every deformed route; approaches the
-    terminal velocity mg/k as t grows.
+    terminal velocity mg/k as t grows.  1 - e^(-kt/m) is formed as
+    -expm1(-kt/m), which keeps its relative accuracy as kt/m -> 0.
     """
     return _classical_route(dp)(t)
 
@@ -381,10 +388,11 @@ def _classical_route(dp: DragParams) -> Callable[[float], float]:
     v0 = dp.v0
     terminal = dp.m * dp.g / dp.k
     exp = math.exp
+    expm1 = math.expm1
 
     def classical(t: float) -> float:
-        decay = exp(neg_k * t / m)
-        return v0 * decay + terminal * (1.0 - decay)
+        x = neg_k * t / m
+        return v0 * exp(x) - terminal * expm1(x)
 
     return classical
 

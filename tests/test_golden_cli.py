@@ -12,7 +12,9 @@ After a deliberate change of output, see what moved with
 
 which writes nothing and reports, per golden file, the lines changed, the
 numeric table cells moved, the worst relative move, and the columns whose
-cells moved or, when none did, the metadata keys that moved.  A cell's move
+cells moved or, when none did, the metadata keys that moved.  It exits 1
+when any case differs and 0 when none does, so "nothing moved" can be
+checked by its exit status.  A cell's move
 is |new - old| / max(1, |old|, |new|), the error scale of the CLI's
 agreement rule and of the benchmark's reference errors, so a cell near 0
 that moves by rounding reads as a small move; then regenerate
@@ -131,7 +133,10 @@ def diff_report(old, new):
 
 
 def diff():
-    """Report what moved against the golden files; write nothing."""
+    """Report what moved against the golden files; write nothing.
+
+    Returns the number of cases that differ.
+    """
     differ = 0
     for case in CASES:
         stdout, code = run(case["argv"])
@@ -144,10 +149,11 @@ def diff():
                 print(f"{case['name']}: {diff_report(golden, stdout)}")
                 differ += 1
     print(f"{differ} of {len(CASES)} cases differ")
+    return differ
 
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--diff"]:
-        diff()
+        sys.exit(1 if diff() else 0)
     else:
         regenerate()

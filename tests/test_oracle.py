@@ -17,6 +17,7 @@ from hahncalc import (
     DragParams,
     KinematicState,
     accel_quotient_velocity,
+    classical_drag_velocity,
     exp_qw,
     gravity_drag_velocity,
     gravity_drag_velocity_iterative,
@@ -186,6 +187,67 @@ def test_gravity_iteration_at_default_depth_against_oracle(q):
                 value = gravity_drag_velocity_iterative(dp, t, params)
                 worst = max(worst, rel_err(value, ref_drag(dp, t, q, w)))
     assert worst < BOUND
+
+
+def ref_odd_bracket(x, q):
+    """e_{1/q}(x) - e_{1/q}(-x) = 2 sum_n q^(n(2n+1)) x^(2n+1) / [2n+1]_q!.
+
+    Summed over the odd terms alone and stopped relative to the sum, so it
+    keeps 40 digits at any |x|; ref_drag's difference of two sums near 1
+    cannot resolve x of order 1e-300.
+    """
+    x, q = mp.mpf(x), mp.mpf(q)
+    if not x:
+        return mp.mpf(0)
+    total, term, n = mp.mpf(0), x, 0
+    while abs(term) > mp.mpf(10) ** -45 * abs(total):
+        total += term
+        denominator = (1 - q ** (2 * n + 2)) * (1 - q ** (2 * n + 3))
+        term *= q ** (4 * n + 3) * x * x * (1 - q) ** 2 / denominator
+        n += 1
+    return 2 * total
+
+
+def ref_weak_drag(dp, t, q, w):
+    """ref_drag with its bracket from ref_odd_bracket."""
+    q_mp = mp.mpf(q)
+    rate = mp.mpf(dp.k) / (mp.mpf(dp.m) * (1 + q_mp))
+    e_minus = ref_exp_qw(-rate, t, q, w)
+    e_plus = ref_exp_qw(rate, t, q, w)
+    coeff = (1 + q_mp) * dp.m * dp.g / (2 * mp.mpf(dp.k))
+    bracket = ref_odd_bracket(rate * (mp.mpf(t) - mp.mpf(w) / (1 - q_mp)), q)
+    return dp.v0 * e_minus / e_plus + coeff * e_minus * bracket
+
+
+def ref_classical_drag(dp, t):
+    """v0 e^(-kt/m) - (mg/k) expm1(-kt/m) at 40 digits."""
+    x = -mp.mpf(dp.k) * mp.mpf(t) / dp.m
+    return dp.v0 * mp.exp(x) - mp.mpf(dp.m) * dp.g / dp.k * mp.expm1(x)
+
+
+@pytest.mark.parametrize("q, w", [(0.5, 0.1), (0.9, 0.1), (0.3, 0.0), (0.99, 1.0)])
+def test_weak_drag_routes_against_oracle(q, w):
+    # As k -> 0 the closed route's bracket and the classical route's
+    # 1 - e^(-kt/m) are both near 0 while their parts are near 1; formed as
+    # differences they lost all digits at k = 1e-300 and read 0.
+    rng = random.Random(7)
+    params = DeformationParams(q=q, w=w)
+    routes = (
+        gravity_drag_velocity,
+        gravity_drag_velocity_series,
+        gravity_drag_velocity_iterative,
+    )
+    worst = {route.__name__: 0.0 for route in (*routes, classical_drag_velocity)}
+    for k in [10.0 ** rng.uniform(-12.0, 0.0) for _ in range(8)] + [1e-300]:
+        dp = DragParams(m=1.0, k=k, g=9.8, v0=1.0)
+        for t in [rng.uniform(0.1, 2.0) for _ in range(4)]:
+            ref = ref_weak_drag(dp, t, q, w)
+            for route in routes:
+                err = rel_err(route(dp, t, params), ref)
+                worst[route.__name__] = max(worst[route.__name__], err)
+            err = rel_err(classical_drag_velocity(dp, t), ref_classical_drag(dp, t))
+            worst["classical_drag_velocity"] = max(worst["classical_drag_velocity"], err)
+    assert max(worst.values()) < BOUND, worst
 
 
 def polynomial_cases(q, w, seed):

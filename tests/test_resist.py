@@ -231,7 +231,7 @@ def difference_bracket_route(dp, t, params, policy):
     homogeneous = dp.v0 * e_minus / e_plus
     if dp.g == 0.0:
         return homogeneous
-    bracket = qexp._exp_qinv_difference(rate * (t - params.w0), params.q, policy)
+    bracket = qexp._exp_qinv_odd_sum(rate * (t - params.w0), params.q, policy)
     coeff = (1.0 + params.q) * dp.m * dp.g / (2.0 * dp.k)
     return homogeneous + coeff * e_minus * bracket
 
@@ -657,7 +657,7 @@ def test_poles_match_one_exponential_at_a_time(q, w):
     # (-kappa step; q)_inf does, and v is finite.
     params = DeformationParams(q=q, w=w)
     routes = (
-        (gravity_drag_velocity, qexp._exp_qinv_difference),
+        (gravity_drag_velocity, qexp._exp_qinv_odd_sum),
         (gravity_drag_velocity_series, qexp._exp_qinv_odd_part),
     )
     seen = set()
