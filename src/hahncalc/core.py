@@ -189,12 +189,12 @@ def _terms_until_small(
     *args: object,
     spent: int = 0,
 ) -> list[float]:
-    """The terms of an infinite series under policy, as a list.
+    """The terms of an infinite series under policy, as a list to fsum.
 
-    The one stopping rule for every series in the package: the terms stop
-    after CONSECUTIVE_SMALL successive ones with |term| < policy.tol, and
+    The one stopping rule for every series in the package: the sum stops
+    after CONSECUTIVE_SMALL successive terms with |term| < policy.tol, and
     every term counts against policy.max_terms, as do the spent evaluations
-    a caller made outside the series.  Callers sum the list with exactly
+    a caller made outside the series.  Callers accumulate terms with exactly
     rounded summation.  Raises NonConvergentError, naming the series as
     what.format(*args), when the budget runs out first.
 

@@ -225,13 +225,12 @@ class _KinematicRoutes:
         return uniform_accel_position(self._state, t, self._params.q)
 
     def iterative(self, t: float) -> float:
-        """iterate_first_order's value for the quotient velocity, anchored at x(w0)."""
-        x_w0 = self._x_w0
+        """iterate_first_order of the quotient velocity, anchored at x(w0)."""
         total, _, _ = _lattice_sum(
             self._rhs, t, self._params, self._policy, -lattice_step(t, self._params),
-            x_w0, "first-order iteration at t={!r}", t,
+            self._x_w0, "first-order iteration at t={!r}", t,
         )
-        return x_w0 + total
+        return self._x_w0 + total
 
     def second_order(self, t: float) -> float:
         factor = self._factor

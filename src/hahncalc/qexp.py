@@ -14,13 +14,11 @@ Three related objects, each truncated under a TruncationPolicy:
 
 All three reduce to exp as (q, w) -> (1, 0).
 
-The drag routes need e_{q,w} and e_{1/q} at a and at -a together, each
-pair in one pass, bit for bit what the two separate calls give: the e_{q,w}
-pair from the pair product of their (q, w) block's (a; q)_inf kernel
-(core._QPochKernel.pair, which also reports the vanishing factor that is
-a pole of exp_qw(-a); see resist._DragRoutes), the e_{1/q} bracket
-e_{1/q}(a) - e_{1/q}(-a) from _exp_qinv_odd_sum, twice the sum of the odd
-terms of e_{1/q}(a)'s one term list, which cancels nothing as a -> 0.
+The drag routes need e_{q,w} at a and at -a together, in one pass, bit for
+bit what the two separate calls give: the pair product of their (q, w)
+block's (a; q)_inf kernel (core._QPochKernel.pair, which also reports the
+vanishing factor that is a pole of exp_qw(-a); see resist._DragRoutes).
+Their bracket e_{1/q}(a) - e_{1/q}(-a) is _exp_qinv_odd_sum.
 
 Each side of the odd-part identity e_{1/q}(x) - e_{1/q}(-x) =
 2 sum_n q^(n(2n+1)) x^(2n+1)/[2n+1]_q! is written once: the left is
@@ -155,13 +153,7 @@ def _exp_qinv_difference(x: float, q: float, policy: TruncationPolicy) -> float:
 
 
 def _exp_qinv_odd_sum(x: float, q: float, policy: TruncationPolicy) -> float:
-    """e_{1/q}(x) - e_{1/q}(-x) as twice the sum of the odd terms of one list.
-
-    The list is _exp_qinv_difference's, cut by the same rule, so in exact
-    arithmetic this is the same number; but no subtraction is made, so it
-    keeps its relative accuracy as x -> 0, where the two sums of the
-    difference are both about 1 and it keeps only about eps absolute.
-    """
+    """_exp_qinv_difference as twice the sum of its odd terms: no cancellation as x -> 0."""
     terms = _terms_until_small(_qinv_terms(x, q), policy, _QINV_WHAT, x, q)
     return 2.0 * math.fsum(terms[1::2])
 

@@ -211,11 +211,7 @@ class _DragRoutes:
         return homogeneous + self._coeff * e_minus * bracket(x_arg, self._q, self._policy)
 
     def closed(self, t: float) -> float:
-        """The closed form, bracket e_{1/q}(X) - e_{1/q}(-X) (gravity_drag_velocity).
-
-        The bracket is twice the sum of the odd terms of e_{1/q}(X)'s series
-        (qexp._exp_qinv_odd_sum), which does not cancel as kappa -> 0.
-        """
+        """The closed form, bracket qexp._exp_qinv_odd_sum (gravity_drag_velocity)."""
         return self._velocity(t, _exp_qinv_odd_sum)
 
     def series(self, t: float) -> float:
@@ -286,9 +282,7 @@ def gravity_drag_velocity(
              [e_{1/q}(X) - e_{1/q}(-X)],   X = kappa (t - w0).
 
     The odd bracket is a function of the distance to the lattice fixed
-    point, which is what pins v(w0) = v0 exactly.  It is summed as twice
-    the odd terms of e_{1/q}(X)'s series, with no subtraction, so it keeps
-    its relative accuracy as k -> 0.  With g = 0 (pure drag)
+    point, which is what pins v(w0) = v0 exactly.  With g = 0 (pure drag)
     the driven term is exactly zero and is not evaluated, leaving
     v0 e_{q,w}(-kappa t)/e_{q,w}(kappa t).  Raises PoleEncounteredError at
     poles of e_{q,w}(-kappa t); at a pole of e_{q,w}(kappa t), which enters
@@ -387,12 +381,10 @@ def _classical_route(dp: DragParams) -> Callable[[float], float]:
     m = dp.m
     v0 = dp.v0
     terminal = dp.m * dp.g / dp.k
-    exp = math.exp
-    expm1 = math.expm1
 
     def classical(t: float) -> float:
         x = neg_k * t / m
-        return v0 * exp(x) - terminal * expm1(x)
+        return v0 * math.exp(x) - terminal * math.expm1(x)
 
     return classical
 
