@@ -18,7 +18,7 @@ The drag routes need e_{q,w} at a and at -a together, in one pass, bit for
 bit what the two separate calls give: the pair product of their (q, w)
 block's (a; q)_inf kernel (core._QPochKernel.pair, which also reports the
 vanishing factor that is a pole of exp_qw(-a); see resist._DragRoutes).
-Their bracket e_{1/q}(a) - e_{1/q}(-a) is _exp_qinv_odd_sum.
+The closed route's bracket e_{1/q}(a) - e_{1/q}(-a) is _exp_qinv_odd_sum.
 
 Each side of the odd-part identity e_{1/q}(x) - e_{1/q}(-x) =
 2 sum_n q^(n(2n+1)) x^(2n+1)/[2n+1]_q! is written once: the left is

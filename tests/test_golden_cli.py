@@ -14,10 +14,10 @@ which writes nothing and reports, per golden file, the lines changed, the
 numeric table cells moved, the worst relative move, and the columns whose
 cells moved or, when none did, the metadata keys that moved.  It exits 1
 when any case differs and 0 when none does, so "nothing moved" can be
-checked by its exit status.  A cell's move
-is |new - old| / max(1, |old|, |new|), the error scale of the CLI's
-agreement rule and of the benchmark's reference errors, so a cell near 0
-that moves by rounding reads as a small move; then regenerate
+checked by its exit status.  A cell's move is |new - old| /
+max(1, |old|, |new|), the error scale of the CLI's agreement rule and of
+the benchmark's reference errors, so a cell near 0 that moves by rounding
+reads as a small move; then regenerate
 the files with
 
     PYTHONPATH=src python tests/test_golden_cli.py
