@@ -193,8 +193,6 @@ class _KinematicRoutes:
 
     x(w0), the quotient velocity, C = v0 + 2 a w0/(1+q), q^2 - q and h's
     right-hand side (see solve_second_order_constant_accel) are formed once.
-    iterative and second_order call core._lattice_sum directly, so a table
-    cell builds no IterationReport and no residual.
     """
 
     __slots__ = ("_state", "_params", "_policy", "_x_w0", "_rhs", "_slope", "_factor", "_rhs_h")
@@ -226,11 +224,7 @@ class _KinematicRoutes:
 
     def iterative(self, t: float) -> float:
         """iterate_first_order of the quotient velocity, anchored at x(w0)."""
-        total, _, _ = _lattice_sum(
-            self._rhs, t, self._params, self._policy, -lattice_step(t, self._params),
-            self._x_w0, "first-order iteration at t={!r}", t,
-        )
-        return self._x_w0 + total
+        return iterate_first_order(self._rhs, t, self._params, self._x_w0, self._policy).value
 
     def second_order(self, t: float) -> float:
         factor = self._factor
