@@ -134,6 +134,10 @@ class _DragRoutes:
     e_{q,w}(-kappa t) and e_{q,w}(kappa t), one pass of the kernel's pair
     product, through a memo of the last t, so a table row that asks for
     both evaluates the pair once.  classical is _classical_route(dp).
+
+    closed and series sum the same odd terms of e_{1/q}(X), each by its own
+    term recurrence, so their agreement checks only that recurrence; the
+    iterative route is the independent one.
     """
 
     __slots__ = (
