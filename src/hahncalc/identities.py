@@ -1,13 +1,15 @@
 """Randomized numerical verification of the calculus identities.
 
-Each check_* function draws randomized cases at a fixed (q, w), evaluates
-both sides of one identity through independent code paths, and returns the
-largest residual it saw: absolute, except where the exponential's size
-makes it relative (check_exp_eigenfunction).  run_suite runs every check
-over a (q, w) grid and reports one IdentityResult per identity; the CLI's
-verify subcommand is a thin wrapper around it.
+Each identity is one case function: given the deformation (q, w) and a
+random source, it draws one randomized case, evaluates both sides of the
+identity through independent code paths, and returns the residual:
+absolute, except where the exponential's size makes it relative
+(exp-eigenfunction).  _CHECKS binds each case function to its name and
+default tolerance.  run_suite is the one sampling loop: it runs every
+identity's cases over a (q, w) grid and reports one IdentityResult per
+identity; the CLI's verify subcommand is a thin wrapper around it.
 
-Sampling conventions shared by the checks: evaluation times are drawn
+Sampling conventions shared by the cases: evaluation times are drawn
 uniformly from [-2, 2] but kept a fixed clearance away from the lattice
 fixed point w0 (where the difference quotient degenerates and rounding
 noise would swamp the identity), and polynomial coefficients are drawn
@@ -33,22 +35,7 @@ from .core import (
 from .qexp import exp_qw, odd_part_qinv
 from .resist import gravity_kernel_iteration_sum, gravity_kernel_resummed
 
-__all__ = [
-    "IdentityResult",
-    "run_suite",
-    "DEFAULT_Q_GRID",
-    "DEFAULT_W_GRID",
-    "check_leibniz",
-    "check_quotient",
-    "check_power_rule",
-    "check_shifted_power_rule",
-    "check_lattice_polynomial_derivative",
-    "check_q_number_sum",
-    "check_weighted_q_number_sum",
-    "check_exp_eigenfunction",
-    "check_odd_part",
-    "check_kernel_resummation",
-]
+__all__ = ["IdentityResult", "run_suite", "DEFAULT_Q_GRID", "DEFAULT_W_GRID"]
 
 DEFAULT_Q_GRID: tuple[float, ...] = (0.3, 0.5, 0.9)
 DEFAULT_W_GRID: tuple[float, ...] = (0.0, 0.1, 1.0)
@@ -96,201 +83,146 @@ def _random_poly(rng: random.Random, max_degree: int) -> Callable[[float], float
     return poly
 
 
-def check_leibniz(q: float, w: float, rng: random.Random, cases: int) -> float:
+def _leibniz(params: DeformationParams, rng: random.Random) -> float:
     """D(fg)(t) = Df(t) g(t) + f(qt+w) Dg(t) for random quartic f, g."""
-    params = DeformationParams(q, w)
-    worst = 0.0
-    for _ in range(cases):
-        f = _random_poly(rng, 4)
-        g = _random_poly(rng, 4)
-        t = _draw_time(rng, params)
-        lhs = hahn_derivative(lambda s: f(s) * g(s), t, params)
-        rhs = hahn_derivative(f, t, params) * g(t) + f(
-            advance(t, params)
-        ) * hahn_derivative(g, t, params)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    f = _random_poly(rng, 4)
+    g = _random_poly(rng, 4)
+    t = _draw_time(rng, params)
+    lhs = hahn_derivative(lambda s: f(s) * g(s), t, params)
+    rhs = hahn_derivative(f, t, params) * g(t) + f(
+        advance(t, params)
+    ) * hahn_derivative(g, t, params)
+    return abs(lhs - rhs)
 
 
-def check_quotient(q: float, w: float, rng: random.Random, cases: int) -> float:
+def _quotient(params: DeformationParams, rng: random.Random) -> float:
     """D(f/g)(t) = (Df(t) g(t) - f(t) Dg(t)) / (g(t) g(qt+w)).
 
     g and t are redrawn until |g| >= 0.5 at both lattice points, keeping
     the quotient well conditioned.
     """
-    params = DeformationParams(q, w)
-    worst = 0.0
-    for _ in range(cases):
-        f = _random_poly(rng, 4)
-        for _ in range(_MAX_DRAWS):
-            g = _random_poly(rng, 4)
-            t = _draw_time(rng, params)
-            if min(abs(g(t)), abs(g(advance(t, params)))) >= 0.5:
-                break
-        else:
-            raise RuntimeError("quotient sampler could not bound g away from 0")
-        lhs = hahn_derivative(lambda s: f(s) / g(s), t, params)
-        rhs = (
-            hahn_derivative(f, t, params) * g(t)
-            - f(t) * hahn_derivative(g, t, params)
-        ) / (g(t) * g(advance(t, params)))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    f = _random_poly(rng, 4)
+    for _ in range(_MAX_DRAWS):
+        g = _random_poly(rng, 4)
+        t = _draw_time(rng, params)
+        if min(abs(g(t)), abs(g(advance(t, params)))) >= 0.5:
+            break
+    else:
+        raise RuntimeError("quotient sampler could not bound g away from 0")
+    lhs = hahn_derivative(lambda s: f(s) / g(s), t, params)
+    rhs = (
+        hahn_derivative(f, t, params) * g(t)
+        - f(t) * hahn_derivative(g, t, params)
+    ) / (g(t) * g(advance(t, params)))
+    return abs(lhs - rhs)
 
 
-def check_power_rule(q: float, w: float, rng: random.Random, cases: int) -> float:
+def _power_rule(params: DeformationParams, rng: random.Random) -> float:
     """D(t^n) = sum_{k=0}^{n-1} (qt+w)^k t^(n-1-k) for n <= 8."""
-    params = DeformationParams(q, w)
-    worst = 0.0
-    for _ in range(cases):
-        n = rng.randint(1, 8)
-        t = _draw_time(rng, params)
-        shifted = advance(t, params)
-        lhs = hahn_derivative(lambda s: s**n, t, params)
-        rhs = math.fsum(shifted**k * t ** (n - 1 - k) for k in range(n))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    n = rng.randint(1, 8)
+    t = _draw_time(rng, params)
+    shifted = advance(t, params)
+    lhs = hahn_derivative(lambda s: s**n, t, params)
+    rhs = math.fsum(shifted**k * t ** (n - 1 - k) for k in range(n))
+    return abs(lhs - rhs)
 
 
-def check_shifted_power_rule(
-    q: float,
-    w: float,
-    rng: random.Random,
-    cases: int,
-) -> float:
+def _shifted_power_rule(params: DeformationParams, rng: random.Random) -> float:
     """D((at+b)^n) = a sum_{k=0}^{n-1} (a(qt+w)+b)^k (at+b)^(n-1-k), n <= 6."""
-    params = DeformationParams(q, w)
-    worst = 0.0
-    for _ in range(cases):
-        n = rng.randint(1, 6)
-        a = rng.uniform(-1.0, 1.0)
-        b = rng.uniform(-1.0, 1.0)
-        t = _draw_time(rng, params)
-        inner = a * advance(t, params) + b
-        outer = a * t + b
-        lhs = hahn_derivative(lambda s: (a * s + b) ** n, t, params)
-        rhs = a * math.fsum(inner**k * outer ** (n - 1 - k) for k in range(n))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    n = rng.randint(1, 6)
+    a = rng.uniform(-1.0, 1.0)
+    b = rng.uniform(-1.0, 1.0)
+    t = _draw_time(rng, params)
+    inner = a * advance(t, params) + b
+    outer = a * t + b
+    lhs = hahn_derivative(lambda s: (a * s + b) ** n, t, params)
+    rhs = a * math.fsum(inner**k * outer ** (n - 1 - k) for k in range(n))
+    return abs(lhs - rhs)
 
 
-def check_lattice_polynomial_derivative(
-    q: float,
-    w: float,
-    rng: random.Random,
-    cases: int,
+def _lattice_polynomial_derivative(
+    params: DeformationParams, rng: random.Random
 ) -> float:
     """D((t; q,w)_n) = [n]_q (t; q,w)_(n-1) for n <= 6."""
-    params = DeformationParams(q, w)
-    worst = 0.0
-    for _ in range(cases):
-        n = rng.randint(1, 6)
-        t = _draw_time(rng, params)
-        lhs = hahn_derivative(lambda s: qw_polynomial(s, n, params), t, params)
-        rhs = q_number(n, q) * qw_polynomial(t, n - 1, params)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    n = rng.randint(1, 6)
+    t = _draw_time(rng, params)
+    lhs = hahn_derivative(lambda s: qw_polynomial(s, n, params), t, params)
+    rhs = q_number(n, params.q) * qw_polynomial(t, n - 1, params)
+    return abs(lhs - rhs)
 
 
-def check_q_number_sum(q: float, w: float, rng: random.Random, cases: int) -> float:
+def _q_number_sum(params: DeformationParams, rng: random.Random) -> float:
     """sum_{k<N} [k]_q = (N - [N]_q)/(1-q) for N <= 50."""
-    worst = 0.0
-    for _ in range(cases):
-        n = rng.randint(1, 50)
-        lhs = math.fsum(q_number(k, q) for k in range(n))
-        rhs = (n - q_number(n, q)) / (1.0 - q)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    q = params.q
+    n = rng.randint(1, 50)
+    lhs = math.fsum(q_number(k, q) for k in range(n))
+    rhs = (n - q_number(n, q)) / (1.0 - q)
+    return abs(lhs - rhs)
 
 
-def check_weighted_q_number_sum(
-    q: float,
-    w: float,
-    rng: random.Random,
-    cases: int,
-) -> float:
+def _weighted_q_number_sum(params: DeformationParams, rng: random.Random) -> float:
     """sum_{k<N} q^k [k]_q = q [N]_q [N-1]_q / (1+q) for N <= 50."""
-    worst = 0.0
-    for _ in range(cases):
-        n = rng.randint(1, 50)
-        lhs = math.fsum(q**k * q_number(k, q) for k in range(n))
-        rhs = q / (1.0 + q) * q_number(n, q) * q_number(n - 1, q)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    q = params.q
+    n = rng.randint(1, 50)
+    lhs = math.fsum(q**k * q_number(k, q) for k in range(n))
+    rhs = q / (1.0 + q) * q_number(n, q) * q_number(n - 1, q)
+    return abs(lhs - rhs)
 
 
-def check_exp_eigenfunction(
-    q: float,
-    w: float,
-    rng: random.Random,
-    cases: int,
-) -> float:
+def _exp_eigenfunction(params: DeformationParams, rng: random.Random) -> float:
     """D_t e_{q,w}(at) = a e_{q,w}(at) at random pole-free (a, t).
 
     The residual is relative to max(1, |a e_{q,w}(at)|): on the sampled
     (a, t) the exponential reaches about 4e4 at q = 0.9, where an absolute
     residual would judge rounding of the value itself.
     """
-    params = DeformationParams(q, w)
-    worst = 0.0
-    for _ in range(cases):
-        for _ in range(_MAX_DRAWS):
-            a = rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 1.2)
-            t = _draw_time(rng, params)
-            # Keeping the product argument inside (-0.9, 0.9) bounds every
-            # factor away from zero, so no pole is ever encountered.
-            if abs(a * lattice_step(t, params)) <= 0.9:
-                break
-        else:
-            raise RuntimeError("eigenfunction sampler could not avoid poles")
-        lhs = hahn_derivative(lambda s: exp_qw(a, s, params), t, params)
-        rhs = a * exp_qw(a, t, params)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return worst
+    for _ in range(_MAX_DRAWS):
+        a = rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 1.2)
+        t = _draw_time(rng, params)
+        # Keeping the product argument inside (-0.9, 0.9) bounds every
+        # factor away from zero, so no pole is ever encountered.
+        if abs(a * lattice_step(t, params)) <= 0.9:
+            break
+    else:
+        raise RuntimeError("eigenfunction sampler could not avoid poles")
+    lhs = hahn_derivative(lambda s: exp_qw(a, s, params), t, params)
+    rhs = a * exp_qw(a, t, params)
+    return abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
-def check_odd_part(q: float, w: float, rng: random.Random, cases: int) -> float:
+def _odd_part(params: DeformationParams, rng: random.Random) -> float:
     """Odd part of e_{1/q}: the two summation paths of odd_part_qinv agree."""
-    worst = 0.0
-    for _ in range(cases):
-        a = rng.uniform(-2.0, 2.0)
-        lhs, rhs = odd_part_qinv(a, q)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    lhs, rhs = odd_part_qinv(rng.uniform(-2.0, 2.0), params.q)
+    return abs(lhs - rhs)
 
 
-def check_kernel_resummation(
-    q: float,
-    w: float,
-    rng: random.Random,
-    cases: int,
-) -> float:
+def _kernel_resummation(params: DeformationParams, rng: random.Random) -> float:
     """Driven-response kernel: iteration sum equals odd-power resummation.
 
     A finite identity, checked for random z in [-0.6, 0.6] (every factor
     1 - q^j z then stays at least 0.4 away from zero) and depths up to 25.
     """
-    worst = 0.0
-    for _ in range(cases):
-        n_steps = rng.randint(1, 25)
-        z = rng.uniform(-0.6, 0.6)
-        lhs = gravity_kernel_iteration_sum(z, q, n_steps)
-        rhs = gravity_kernel_resummed(z, q, n_steps)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    n_steps = rng.randint(1, 25)
+    z = rng.uniform(-0.6, 0.6)
+    lhs = gravity_kernel_iteration_sum(z, params.q, n_steps)
+    rhs = gravity_kernel_resummed(z, params.q, n_steps)
+    return abs(lhs - rhs)
 
 
-_CHECKS: tuple[tuple[str, Callable[..., float], float], ...] = (
-    ("leibniz-rule", check_leibniz, 1e-10),
-    ("quotient-rule", check_quotient, 1e-10),
-    ("power-rule", check_power_rule, 1e-10),
-    ("shifted-power-rule", check_shifted_power_rule, 1e-10),
-    ("lattice-polynomial-derivative", check_lattice_polynomial_derivative, 1e-10),
-    ("q-number-sum", check_q_number_sum, 1e-12),
-    ("weighted-q-number-sum", check_weighted_q_number_sum, 1e-12),
-    ("exp-eigenfunction", check_exp_eigenfunction, 1e-10),
-    ("exp-qinv-odd-part", check_odd_part, 1e-12),
-    ("drag-kernel-resummation", check_kernel_resummation, 1e-10),
+# The order of the rows is the order of verify's report.
+_CHECKS: tuple[
+    tuple[str, Callable[[DeformationParams, random.Random], float], float], ...
+] = (
+    ("leibniz-rule", _leibniz, 1e-10),
+    ("quotient-rule", _quotient, 1e-10),
+    ("power-rule", _power_rule, 1e-10),
+    ("shifted-power-rule", _shifted_power_rule, 1e-10),
+    ("lattice-polynomial-derivative", _lattice_polynomial_derivative, 1e-10),
+    ("q-number-sum", _q_number_sum, 1e-12),
+    ("weighted-q-number-sum", _weighted_q_number_sum, 1e-12),
+    ("exp-eigenfunction", _exp_eigenfunction, 1e-10),
+    ("exp-qinv-odd-part", _odd_part, 1e-12),
+    ("drag-kernel-resummation", _kernel_resummation, 1e-10),
 )
 
 
@@ -310,22 +242,21 @@ def run_suite(
     """
     if not q_grid or not w_grid:
         raise ValueError("q_grid and w_grid must be non-empty")
-    per_point = max(1, math.ceil(cases / (len(q_grid) * len(w_grid))))
+    grid = [DeformationParams(q, w) for q in q_grid for w in w_grid]
+    per_point = max(1, math.ceil(cases / len(grid)))
     results = []
-    for name, check, default_tol in _CHECKS:
+    for name, case, default_tol in _CHECKS:
         rng = random.Random(f"{seed}:{name}")
         worst = 0.0
-        total = 0
-        for q in q_grid:
-            for w in w_grid:
-                worst = max(worst, check(q, w, rng, per_point))
-                total += per_point
+        for params in grid:
+            for _ in range(per_point):
+                worst = max(worst, case(params, rng))
         results.append(
             IdentityResult(
                 name=name,
                 max_residual=worst,
                 tolerance=default_tol if tol is None else tol,
-                cases=total,
+                cases=per_point * len(grid),
             )
         )
     return results
