@@ -12,7 +12,9 @@ After a deliberate change of output, see what moved with
 
 which writes nothing and reports, per golden file, the lines changed, the
 numeric table cells moved, the worst relative move, and the columns whose
-cells moved or, when none did, the metadata keys that moved.  It exits 1
+cells moved (for verify, each field with its identity, such as
+max_residual[power-rule]) or, when none did, the metadata keys that
+moved.  It exits 1
 when any case differs and 0 when none does, so "nothing moved" can be
 checked by its exit status.  A cell's move is |new - old| /
 max(1, |old|, |new|), the error scale of the CLI's agreement rule and of
@@ -67,6 +69,27 @@ def test_golden_files_match_the_cases_one_to_one():
     assert {path.name for path in GOLDEN.glob("*.out")} == expected
 
 
+def test_entries_reads_verify_lines_by_identity():
+    text = (
+        "# identity-suite\n"
+        "# seed=3\n"
+        "power-rule    cases=207   max_residual=3.410605e-13 tol=1.0e-10 PASS\n"
+        "q-number-sum  cases=207   max_residual=5.8e-11 tol=1.0e-12 FAIL\n"
+    )
+    assert entries(text) == {
+        ("metadata", "identity-suite"): "",
+        ("metadata", "seed"): "3",
+        ("cases", "power-rule"): "207",
+        ("max_residual", "power-rule"): "3.410605e-13",
+        ("tol", "power-rule"): "1.0e-10",
+        ("status", "power-rule"): "PASS",
+        ("cases", "q-number-sum"): "207",
+        ("max_residual", "q-number-sum"): "5.8e-11",
+        ("tol", "q-number-sum"): "1.0e-12",
+        ("status", "q-number-sum"): "FAIL",
+    }
+
+
 def regenerate():
     for case in CASES:
         stdout, code = run(case["argv"])
@@ -77,10 +100,13 @@ def regenerate():
 
 
 def entries(text):
-    """A table output as {key: value}: ("metadata", name) and (column, row) keys.
+    """An output as {key: value}: ("metadata", name) and (column, row) keys.
 
     JSON outputs are parsed as such; CSV metadata comes from the `# key=value`
     lines and cells from the rows under the header, all kept as strings.
+    A verify output has no header: each `name cases=... max_residual=...
+    tol=... STATUS` line gives the cells (key, name) of its key=value fields
+    and ("status", name).
     """
     if text.startswith("{"):
         payload = json.loads(text)
@@ -91,7 +117,15 @@ def entries(text):
     lines = text.splitlines()
     out = {("metadata", line[2:].partition("=")[0]): line.partition("=")[2]
            for line in lines if line.startswith("# ")}
-    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    rows = [line for line in lines if not line.startswith("#")]
+    if lines[:1] == ["# identity-suite"]:
+        for line in rows:
+            name, *fields, status = line.split()
+            out.update(((key, name), value) for key, _, value in
+                       (field.partition("=") for field in fields))
+            out["status", name] = status
+        return out
+    rows = [line.split(",") for line in rows]
     for row, cells in enumerate(rows[1:]):
         out.update(((name, row), cell) for name, cell in zip(rows[0], cells))
     return out
@@ -125,7 +159,11 @@ def diff_report(old, new):
     if len(numeric) < len(cells):
         line += f", {len(cells) - len(numeric)} other cells changed"
     if cells:
-        line += ", in " + ",".join(sorted({key[0] for key in cells}))
+        # Table rows are numbered and only their columns are named; verify's
+        # rows are identities, named with the field that moved.
+        line += ", in " + ",".join(sorted(
+            {key[0] if isinstance(key[1], int) else f"{key[0]}[{key[1]}]" for key in cells}
+        ))
     else:
         names = sorted(key[1] for key in moved)
         line += ", metadata only: " + ",".join(names)
