@@ -46,8 +46,6 @@ makes the fixed-point value exact.
 from __future__ import annotations
 
 import math
-import operator
-from itertools import accumulate
 from typing import Callable, Iterator
 
 from ._record import FrozenRecord
@@ -432,13 +430,18 @@ def gravity_kernel_resummed(z: float, q: float, n_steps: int) -> float:
     _check_q(q)
     _check_count(n_steps, "n_steps")
     den = math.prod(_nonvanishing_factors(z, q, n_steps), start=1.0)
-    # Gaussian binomials via the (q; q)_j prefixes, built incrementally.
-    qq = [1.0, *accumulate(_q_product_factors(q, q, n_steps), operator.mul)]
+    # Gaussian binomials as products of the ratios (1 - q^(N-k+j))/(1 - q^j),
+    # with 1 - q^m = -expm1(m log q): the (q; q)_j prefixes they replace
+    # underflow to 0 as q -> 1, and lose relative accuracy well before.
+    log_q = math.log(q)
+    one_minus = [-math.expm1(m * log_q) for m in range(n_steps + 1)]
     terms: list[float] = []
     z_even = 1.0
     for n in range((n_steps + 1) // 2):
         odd = 2 * n + 1
-        binom = qq[n_steps] / (qq[odd] * qq[n_steps - odd])
+        binom = math.prod(
+            one_minus[n_steps - odd + j] / one_minus[j] for j in range(1, odd + 1)
+        )
         terms.append(binom * q ** (n * odd) * z_even)
         z_even *= z * z
     return math.fsum(terms) / den

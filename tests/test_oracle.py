@@ -22,6 +22,8 @@ from hahncalc import (
     gravity_drag_velocity,
     gravity_drag_velocity_iterative,
     gravity_drag_velocity_series,
+    gravity_kernel_iteration_sum,
+    gravity_kernel_resummed,
     hahn_integral,
     iterate_first_order,
     odd_part_qinv,
@@ -204,6 +206,30 @@ def test_gravity_iteration_at_default_depth_against_oracle(q):
             for t in (0.1, 0.7, 1.3, 1.9, 40.0):
                 value = gravity_drag_velocity_iterative(dp, t, params)
                 worst = max(worst, rel_err(value, ref_drag(dp, t, q, w)))
+    assert worst < BOUND
+
+
+def ref_gravity_kernel(z, q, n_steps):
+    """sum_{j<n_steps} q^j (-z; q)_j / (z; q)_{j+1} at 40 digits."""
+    z, q = mp.mpf(z), mp.mpf(q)
+    total, num, den = mp.mpf(0), mp.mpf(1), 1 - z
+    for j in range(n_steps):
+        total += q**j * num / den
+        num *= 1 + z * q**j
+        den *= 1 - z * q ** (j + 1)
+    return total
+
+
+@pytest.mark.parametrize("route", [gravity_kernel_iteration_sum, gravity_kernel_resummed])
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.99, 1 - 1e-10, 1 - 2**-53])
+def test_gravity_kernel_against_oracle(route, q):
+    # The resummed route's Gaussian binomials, formed from (q; q)_j prefixes,
+    # read 7.0e-9 off at q = 1 - 1e-10 and divided by zero at q = 1 - 2^-53.
+    worst = max(
+        rel_err(route(z, q, n_steps), ref_gravity_kernel(z, q, n_steps))
+        for z in [i / 20 for i in range(-12, 13)]
+        for n_steps in (1, 2, 5, 12, 25)
+    )
     assert worst < BOUND
 
 
