@@ -431,8 +431,8 @@ def gravity_kernel_resummed(z: float, q: float, n_steps: int) -> float:
     _check_count(n_steps, "n_steps")
     den = math.prod(_nonvanishing_factors(z, q, n_steps), start=1.0)
     # Gaussian binomials as products of the ratios (1 - q^(N-k+j))/(1 - q^j),
-    # with 1 - q^m = -expm1(m log q): the (q; q)_j prefixes they replace
-    # underflow to 0 as q -> 1, and lose relative accuracy well before.
+    # with 1 - q^m = -expm1(m log q).  Quotients of (q; q)_j prefixes would
+    # underflow to 0 as q -> 1 and lose relative accuracy well before.
     log_q = math.log(q)
     one_minus = [-math.expm1(m * log_q) for m in range(n_steps + 1)]
     terms: list[float] = []

@@ -13,10 +13,9 @@ After a deliberate change of output, see what moved with
 which writes nothing and reports, per golden file, the lines changed, the
 numeric table cells moved, the worst relative move, and the columns whose
 cells moved (for verify, each field with its identity, such as
-max_residual[power-rule]) or, when none did, the metadata keys that
-moved.  It exits 1
-when any case differs and 0 when none does, so "nothing moved" can be
-checked by its exit status.  A cell's move is |new - old| /
+max_residual[power-rule]) or, when none did, the metadata keys that moved.
+It exits 1 when any case differs and 0 when none does, so "nothing moved"
+can be checked by its exit status.  A cell's move is |new - old| /
 max(1, |old|, |new|), the error scale of the CLI's agreement rule and of
 the benchmark's reference errors, so a cell near 0 that moves by rounding
 reads as a small move; then regenerate
