@@ -14,23 +14,25 @@ Subcommands:
 * verify: run the randomized identity suite and print one line per
   identity with its worst residual and pass/fail status.
 * sweep: run kinematics or drag over swept q and/or w values in long
-  format, with the (q, w) columns prepended.
+  format, with the (q, w) columns prepended.  sweep <base> is parsed by a
+  copy of <base>'s own parser plus --sweep, so it takes that base's options
+  only, and like every command's options they follow the base.
 
 kinematics and drag are a one-point sweep without the q and w columns: all
 three table commands run through one path, driven by the BASES registry of
-route names and per-command setups.  Each (q, w) block builds one route
-object (kinematics._KinematicRoutes, resist._DragRoutes), which forms its
-constants once, and binds each route by name to its method.  Importing
-this module loads only errors from the package: each function imports the
-modules it runs, so a drag run never loads kinematics and a kinematics run
-never loads resist or qexp.
+route names, physics options and per-command setups.  Each (q, w) block
+builds one route object (kinematics._KinematicRoutes, resist._DragRoutes),
+which forms its constants once, and binds each route by name to its
+method.  Importing this module loads only errors from the package: each
+function imports the modules it runs, so a drag run never loads
+kinematics and a kinematics run never loads resist or qexp.
 
 Tables go to standard output as CSV (with a '# key=value' metadata header)
 or as a single JSON object with --format json, rendered column by column
 (see table); diagnostics go to standard error.  Identical invocations
-produce byte-identical output.  Time and sweep grids need finite bounds
-and strictly increasing samples, and --tol a finite positive value, or the
-command is a usage error.
+produce byte-identical output.  Time and sweep grids need at least one
+sample, finite bounds and strictly increasing samples (all checked by
+_grid), and --tol a finite positive value, or the command is a usage error.
 
 Exit codes: 0 success; 1 usage error; 2 identity verification failure;
 3 a requested output column came out entirely empty.
@@ -71,30 +73,30 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _add_lattice_args(parser: argparse.ArgumentParser, required: bool) -> None:
+def _add_table_args(
+    parser: argparse.ArgumentParser,
+    routes: Sequence[str],
+    add_physics_args: Callable[[argparse.ArgumentParser], None],
+) -> None:
+    """The options of one table base, the same under hahncalc <base> and sweep <base>."""
+    from .core import DEFAULT_POLICY
+
     parser.add_argument(
-        "--q",
-        type=float,
-        required=required,
-        default=None,
-        help="deformation base, 0 < q < 1",
+        "--q", type=float, default=None, help="deformation base, 0 < q < 1 (required)"
     )
     parser.add_argument(
         "--w", type=float, default=None, help="lattice shift, w >= 0 (default 0)"
     )
-
-
-def _add_time_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--v0", type=float, default=0.0, help="initial velocity")
+    add_physics_args(parser)
     parser.add_argument("--t-start", type=float, default=0.0, help="first sample time")
     parser.add_argument("--t-end", type=float, default=2.0, help="last sample time")
     parser.add_argument(
         "--samples", type=int, default=9, help="number of uniformly spaced samples"
     )
-
-
-def _add_output_args(parser: argparse.ArgumentParser) -> None:
-    from .core import DEFAULT_POLICY
-
+    parser.add_argument(
+        "--routes", default=None, help="comma-separated subset of: " + ",".join(routes)
+    )
     parser.add_argument(
         "--tol",
         type=float,
@@ -137,20 +139,11 @@ def build_parser() -> _Parser:
     for base, (help_text, routes, add_physics_args, _) in BASES.items():
         table = commands.add_parser(base, help=help_text)
         table.set_defaults(base=base)
-        _add_lattice_args(table, required=True)
-        table.add_argument("--v0", type=float, default=0.0, help="initial velocity")
-        add_physics_args(table)
-        _add_time_args(table)
-        table.add_argument(
-            "--routes", default=None, help="comma-separated subset of: " + ",".join(routes)
-        )
-        _add_output_args(table)
+        _add_table_args(table, routes, add_physics_args)
 
     verify = commands.add_parser("verify", help="run the identity suite")
     verify.add_argument(
-        "--q-grid",
-        default="0.3,0.5,0.9",
-        help="comma-separated q values, each in (0,1)",
+        "--q-grid", default=None, help="comma-separated q values, each in (0,1)"
     )
     verify.add_argument("--seed", type=int, default=0, help="randomization seed")
     verify.add_argument(
@@ -163,58 +156,40 @@ def build_parser() -> _Parser:
     sweep = commands.add_parser(
         "sweep", help="run kinematics or drag over swept q and/or w"
     )
-    sweep.add_argument("base", choices=tuple(BASES), help="command to sweep")
-    sweep.add_argument(
-        "--sweep",
-        action="append",
-        default=[],
-        metavar="NAME=START:STOP:COUNT",
-        help="sweep q or w over an inclusive uniform grid; repeatable",
-    )
-    _add_lattice_args(sweep, required=False)
-    sweep.add_argument("--v0", type=float, default=0.0, help="initial velocity")
-    for _, _, add_physics_args, _ in BASES.values():
-        add_physics_args(sweep)
-    _add_time_args(sweep)
-    sweep.add_argument(
-        "--routes", default=None, help="comma-separated routes of the base command"
-    )
-    _add_output_args(sweep)
+    swept = sweep.add_subparsers(dest="base", required=True)
+    for base, (help_text, routes, add_physics_args, _) in BASES.items():
+        table = swept.add_parser(base, help=help_text)
+        table.add_argument(
+            "--sweep",
+            action="append",
+            default=[],
+            metavar="NAME=START:STOP:COUNT",
+            help="sweep q or w over an inclusive uniform grid; repeatable",
+        )
+        _add_table_args(table, routes, add_physics_args)
 
     return parser
 
 
-def _linspace(start: float, stop: float, count: int) -> list[float]:
-    """Inclusive uniformly spaced grid with the endpoints hit exactly."""
+def _grid(start: float, stop: float, count: int, what: str, parser: _Parser) -> list[float]:
+    """Inclusive uniform grid with the endpoints hit exactly, or a usage error.
+
+    A grid needs at least one sample and finite bounds, and its samples must
+    increase strictly, so stop must exceed start when count > 1; a step that
+    underflows to 0 or overflows to inf breaks that even where stop > start.
+    """
+    if count < 1:
+        parser.error(f"{what} grid needs at least 1 sample, got {count}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        parser.error(f"{what} bounds must be finite, got {start!r} and {stop!r}")
     if count == 1:
         return [start]
     step = (stop - start) / (count - 1)
     values = [start + i * step for i in range(count)]
     values[-1] = stop
-    return values
-
-
-def _grid(start: float, stop: float, count: int, what: str, parser: _Parser) -> list[float]:
-    """_linspace(start, stop, count), or a usage error unless it is a usable grid.
-
-    Both bounds must be finite, and the samples must increase strictly: a
-    step that underflows to 0 or overflows to inf breaks that even where
-    stop > start.
-    """
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        parser.error(f"{what} bounds must be finite, got {start!r} and {stop!r}")
-    values = _linspace(start, stop, count)
     if not all(b > a for a, b in zip(values, values[1:])):
         parser.error(f"{count} {what} samples from {start!r} to {stop!r} do not increase strictly")
     return values
-
-
-def _time_grid(args: argparse.Namespace, parser: _Parser) -> list[float]:
-    if args.samples < 1:
-        parser.error("--samples must be at least 1")
-    if args.samples > 1 and not args.t_end > args.t_start:
-        parser.error("--t-end must exceed --t-start when --samples > 1")
-    return _grid(args.t_start, args.t_end, args.samples, "time", parser)
 
 
 def _usage_checked(
@@ -225,20 +200,6 @@ def _usage_checked(
         return make(*args, **kwargs)
     except ValueError as exc:
         parser.error(str(exc))
-
-
-def _lattice_params(q: float | None, w: float | None, parser: _Parser) -> DeformationParams:
-    if q is None:
-        parser.error("--q is required (directly or via --sweep q=...)")
-    from .core import DeformationParams
-
-    return _usage_checked(parser, DeformationParams, q, 0.0 if w is None else w)
-
-
-def _policy(args: argparse.Namespace, parser: _Parser) -> TruncationPolicy:
-    from .core import TruncationPolicy
-
-    return _usage_checked(parser, TruncationPolicy, tol=args.tol, max_terms=args.max_terms)
 
 
 def _parse_routes(spec: str, allowed: Sequence[str], parser: _Parser) -> list[str]:
@@ -366,10 +327,6 @@ def _parse_sweeps(
             count = int(parts[2])
         except ValueError:
             parser.error(f"bad sweep grid {grid!r}; expected START:STOP:COUNT")
-        if count < 1:
-            parser.error("sweep COUNT must be at least 1")
-        if count > 1 and not stop > start:
-            parser.error("sweep STOP must exceed START when COUNT > 1")
         sweeps[name] = (grid, _grid(start, stop, count, f"sweep {name}", parser))
     return sweeps
 
@@ -380,16 +337,23 @@ def _cmd_table(args: argparse.Namespace, parser: _Parser) -> tuple[TrajectoryTab
     kinematics and drag are a one-block sweep whose table has no q and w
     columns and records q, w and w0 in place of the sweep metadata.
     """
+    from .core import DeformationParams, TruncationPolicy
     from .table import TrajectoryTable
 
     _, routes, _, setup = BASES[args.base]
     sweeping = args.command == "sweep"
-    policy = _policy(args, parser)
-    ts = _time_grid(args, parser)
+    policy = _usage_checked(parser, TruncationPolicy, tol=args.tol, max_terms=args.max_terms)
+    ts = _grid(args.t_start, args.t_end, args.samples, "time", parser)
     sweeps = _parse_sweeps(args.sweep, parser) if sweeping else {}
+    if args.q is None and "q" not in sweeps:
+        parser.error("--q is required (under sweep, --sweep q=... may stand for it)")
     q_values = sweeps["q"][1] if "q" in sweeps else [args.q]
     w_values = sweeps["w"][1] if "w" in sweeps else [args.w]
-    grid = [_lattice_params(q, w, parser) for q in q_values for w in w_values]
+    grid = [
+        _usage_checked(parser, DeformationParams, q, 0.0 if w is None else w)
+        for q in q_values
+        for w in w_values
+    ]
     requested = _parse_routes(
         ",".join(routes) if args.routes is None else args.routes, routes, parser
     )
@@ -443,10 +407,15 @@ def _cmd_table(args: argparse.Namespace, parser: _Parser) -> tuple[TrajectoryTab
 
 
 def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
-    try:
-        q_grid = tuple(float(part) for part in args.q_grid.split(",") if part.strip())
-    except ValueError:
-        parser.error(f"bad --q-grid {args.q_grid!r}; expected comma-separated reals")
+    # Only verify needs the identity suite; importing it costs every other command.
+    from .identities import DEFAULT_Q_GRID, DEFAULT_W_GRID, run_suite
+
+    q_grid = DEFAULT_Q_GRID
+    if args.q_grid is not None:
+        try:
+            q_grid = tuple(float(part) for part in args.q_grid.split(",") if part.strip())
+        except ValueError:
+            parser.error(f"bad --q-grid {args.q_grid!r}; expected comma-separated reals")
     if not q_grid:
         parser.error("--q-grid must name at least one q")
     for q in q_grid:
@@ -454,8 +423,6 @@ def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
             parser.error(f"--q-grid entries must lie in (0,1), got {q!r}")
     if args.tol is not None and not 0.0 < args.tol < math.inf:
         parser.error("--tol must be finite and positive")
-    # Only verify needs the identity suite; importing it costs every other command.
-    from .identities import DEFAULT_W_GRID, run_suite
 
     results = run_suite(seed=args.seed, q_grid=q_grid, tol=args.tol)
     print("# identity-suite")

@@ -74,13 +74,16 @@ __all__ = [
     "advance",
     "advance_n",
     "lattice_step",
+    "CENTRAL_DIFF_STEP",
+    "CONSECUTIVE_SMALL",
+    "ZERO_FACTOR_TOL",
 ]
 
 # A scalar map t -> f(t); must be deterministic and total on the caller's domain.
 ScalarFunction = Callable[[float], float]
 
-# Step scale for the O(h^2) central difference hahn_derivative takes where
-# the lattice step is at most CENTRAL_DIFF_STEP (1 + |w0|).
+# Step scale for the O(h^2) central difference hahn_derivative takes at t
+# where the lattice step is at most CENTRAL_DIFF_STEP (1 + |t|).
 CENTRAL_DIFF_STEP = 1e-6
 
 # A product factor at least this close to 0 counts as an exact zero.
@@ -643,13 +646,15 @@ def hahn_derivative(f: ScalarFunction, t: float, params: DeformationParams) -> f
     Near the fixed point the quotient tends to 0/0 (its value at w0 is the
     ordinary derivative f'(w0)), and the rounding of f(qt + w) - f(t) grows
     like eps |f| / |step|.  So whenever the lattice step is at most
-    h = CENTRAL_DIFF_STEP (1 + |w0|), the O(h^2) central difference with
+    h = CENTRAL_DIFF_STEP (1 + |t|), the O(h^2) central difference with
     half-width h about the secant midpoint (t + qt + w)/2 is returned
     instead of the quotient.  For smooth f it differs from the secant slope
-    by f3 (h^2 - step^2/4)/6, with f3 the third derivative.
+    by f3 (h^2 - step^2/4)/6, with f3 the third derivative.  h scales with
+    t, which is w0's scale near w0, so far from a large w0 the quotient,
+    which needs no help there, is kept.
     """
     step = lattice_step(t, params)
-    h = CENTRAL_DIFF_STEP * (1.0 + abs(params.w0))
+    h = CENTRAL_DIFF_STEP * (1.0 + abs(t))
     if abs(step) <= h:
         mid = 0.5 * (t + advance(t, params))
         return (f(mid + h) - f(mid - h)) / (2.0 * h)

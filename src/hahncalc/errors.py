@@ -5,6 +5,15 @@ either meet their stopping rule or raise, and vanishing factors next to poles
 raise rather than returning quiet infinities.
 """
 
+__all__ = [
+    "HahnCalcError",
+    "NonConvergentError",
+    "PoleEncounteredError",
+    "ZeroFactorError",
+    "OutOfRadiusError",
+    "ZeroFactorWarning",
+]
+
 
 class HahnCalcError(Exception):
     """Base class for numerical failures raised by this package."""

@@ -37,8 +37,11 @@ from .resist import gravity_kernel_iteration_sum, gravity_kernel_resummed
 
 __all__ = ["IdentityResult", "run_suite", "DEFAULT_Q_GRID", "DEFAULT_W_GRID"]
 
+# run_suite samples DEFAULT_Q_GRID unless given another q grid; every run
+# samples the w of DEFAULT_W_GRID and draws _CASES cases per identity.
 DEFAULT_Q_GRID: tuple[float, ...] = (0.3, 0.5, 0.9)
 DEFAULT_W_GRID: tuple[float, ...] = (0.0, 0.1, 1.0)
+_CASES = 200
 
 # Time window and fixed-point clearance for randomized evaluation points.
 _T_LOW, _T_HIGH = -2.0, 2.0
@@ -229,21 +232,19 @@ _CHECKS: tuple[
 def run_suite(
     seed: int = 0,
     q_grid: Sequence[float] = DEFAULT_Q_GRID,
-    w_grid: Sequence[float] = DEFAULT_W_GRID,
-    cases: int = 200,
     tol: float | None = None,
 ) -> list[IdentityResult]:
-    """Run every identity check over the (q, w) grid.
+    """Run every identity check over the grid of q_grid by DEFAULT_W_GRID.
 
-    cases is the total number of randomized draws per identity, spread
-    evenly over the grid (rounded up per grid point).  tol, when given,
-    overrides every identity's default tolerance; otherwise each identity
-    keeps its own.  Results are deterministic in (seed, grids, cases).
+    Each identity draws _CASES randomized cases, spread evenly over the grid
+    (rounded up per grid point).  tol, when given, overrides every
+    identity's default tolerance; otherwise each identity keeps its own.
+    Results are deterministic in (seed, q_grid).
     """
-    if not q_grid or not w_grid:
-        raise ValueError("q_grid and w_grid must be non-empty")
-    grid = [DeformationParams(q, w) for q in q_grid for w in w_grid]
-    per_point = max(1, math.ceil(cases / len(grid)))
+    if not q_grid:
+        raise ValueError("q_grid must be non-empty")
+    grid = [DeformationParams(q, w) for q in q_grid for w in DEFAULT_W_GRID]
+    per_point = max(1, math.ceil(_CASES / len(grid)))
     results = []
     for name, case, default_tol in _CHECKS:
         rng = random.Random(f"{seed}:{name}")

@@ -301,16 +301,23 @@ def test_verify_unsatisfiable_tolerance_fails():
 # sweep command
 
 
-def test_single_point_sweep_matches_base():
-    base = run_cli(*KIN_ARGS)
-    sweep = run_cli(
-        "sweep", "kinematics", "--q", "0.5", "--w", "0.1",
-        "--x0", "1", "--v0", "2", "--a", "3",
-        "--t-start", "0", "--t-end", "2", "--samples", "5",
-    )
-    assert sweep.returncode == 0
-    _, base_header, base_rows = parse_csv(base.stdout)
-    _, sweep_header, sweep_rows = parse_csv(sweep.stdout)
+@pytest.mark.parametrize("args", [KIN_ARGS, DRAG_ARGS], ids=["kinematics", "drag"])
+def test_single_point_sweep_matches_base(args):
+    # sweep <base> takes its base's options as they are; its table is the
+    # base's with q,w columns prepended, and its metadata differs only in
+    # command, base and w0.
+    base = run_cli(*args)
+    sweep = run_cli("sweep", *args)
+    assert base.returncode == sweep.returncode == 0
+    base_meta, base_header, base_rows = parse_csv(base.stdout)
+    sweep_meta, sweep_header, sweep_rows = parse_csv(sweep.stdout)
+    assert (base_meta["command"], sweep_meta["command"]) == (args[0], "sweep")
+    assert sweep_meta["base"] == args[0]
+    assert "w0" in base_meta and "w0" not in sweep_meta
+    for key in ("command", "base", "w0"):
+        base_meta.pop(key, None)
+        sweep_meta.pop(key, None)
+    assert sweep_meta == base_meta
     assert sweep_header == ["q", "w"] + base_header
     assert [row[2:] for row in sweep_rows] == base_rows
 

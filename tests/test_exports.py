@@ -29,3 +29,10 @@ def test_submodule_all_resolves_and_star_imports(module_name):
     exec(f"from hahncalc.{module_name} import *", namespace)
     for name in exported:
         assert getattr(module, name) is namespace[name], name
+
+
+def test_package_exports_are_listed_in_their_modules_all():
+    for module_name, names in hahncalc._EXPORTS.items():
+        module = importlib.import_module(f"hahncalc.{module_name}")
+        missing = sorted(set(names) - set(getattr(module, "__all__", ())))
+        assert not missing, (module_name, missing)

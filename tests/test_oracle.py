@@ -24,6 +24,7 @@ from hahncalc import (
     gravity_drag_velocity_series,
     gravity_kernel_iteration_sum,
     gravity_kernel_resummed,
+    hahn_derivative,
     hahn_integral,
     iterate_first_order,
     odd_part_qinv,
@@ -399,3 +400,15 @@ def test_second_order_route_against_oracle_near_the_classical_limit():
         ref = mp.mpf(t) ** 2 / (1 + mp.mpf(q))
         worst = max(worst, rel_err(solve_second_order_constant_accel(state, t, params), ref))
     assert worst < 1e-9
+
+
+def test_hahn_derivative_far_from_the_fixed_point_is_the_quotient():
+    # At q = 0.999999, w = 1 the fixed point sits at w0 = 1e6, and t = 0.5 is
+    # a lattice step of about 1 from its image.  A central-difference
+    # half-width that grew with w0 was about 1 there, so the switch took the
+    # central difference and returned 8.000004 for s^4, not the quotient.
+    q, w, t = 0.999999, 1.0, 0.5
+    image = mp.mpf(q) * t + w
+    ref = (image**4 - mp.mpf(t) ** 4) / (image - t)
+    value = hahn_derivative(lambda s: s**4, t, DeformationParams(q=q, w=w))
+    assert rel_err(value, ref) < BOUND
