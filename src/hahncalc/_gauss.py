@@ -1,14 +1,14 @@
-"""The Gauss and head-and-tail routes of core._lattice_sum.
+"""The Gauss rule of the lattice measure, the Gauss route of core._lattice_sum.
 
 With d = t - w0, the lattice sum weight * sum_k q^k f(q^k t + [k]_{q,w}) is
 weight times the integral of r -> f(w0 + r d) against the measure
 sum_k q^k delta(r - q^k) on [0, 1].  _lattice_gauss evaluates f at the
 nodes of that measure's Gauss rule (the little q-Jacobi rule, built here in
 integers by _gauss_rule and _implicit_ql), 4 to 32 of them whatever q is,
-and _lattice_head_tail sums the first 3/(1 - q) terms of a sum that cancels
-against its anchor and leaves the rule only the rest.  core._lattice_sum
-imports this module the first time it tries the rule, so a process whose
-sums all stay plain never compiles it.
+and either returns the sum or declines it.  Which route follows a declined
+sum is decided in core._lattice_sum, which imports this module the first
+time it tries the rule, so a process whose sums all stay plain never
+compiles it.
 """
 
 from __future__ import annotations
@@ -17,21 +17,7 @@ import math
 import operator
 from functools import lru_cache
 
-from .core import (
-    _SPLIT_LIMIT,
-    ScalarFunction,
-    TruncationPolicy,
-    _lattice_plain,
-    _two_product,
-)
-
-# The head-and-tail route sums the first M = ceil(LATTICE_HEAD_SPAN/(1 - q))
-# terms one by one, so that q^M <= e^-3 and the tail's Gauss rule carries at
-# most that share of the lattice measure: its rounding falls below the
-# half-ulp of the anchor.  On the kinematics benchmark panel (seed 0), heads
-# of 1/(1 - q) and 2/(1 - q) terms leave the iterative route 6.58e-13 and
-# 6.15e-13 off where this one leaves 3.47e-13.
-LATTICE_HEAD_SPAN = 3.0
+from .core import _SPLIT_LIMIT, ScalarFunction, _two_product
 
 # Node counts of the Gauss rules of the lattice measure, tried in turn until
 # two successive rules agree.  The first is exact for polynomial integrands of
@@ -52,54 +38,6 @@ GAUSS_SPLIT_BITS = 100
 
 _EPSILON = 2.0**-52
 _BELOW_ONE = 1.0 - 2.0**-53
-
-
-def _lattice_head_tail(
-    f: ScalarFunction,
-    t: float,
-    w0: float,
-    q: float,
-    weight: float,
-    anchor: float,
-    value: float,
-    block: int,
-    spent: int,
-    policy: TruncationPolicy,
-    what: str,
-    args: tuple[object, ...],
-) -> tuple[float, int, int]:
-    """The head-and-tail route of core._lattice_sum, for a long sum that
-    cancels against its anchor; value is f(t).
-
-    The first M = ceil(LATTICE_HEAD_SPAN/(1 - q)) terms are summed exactly,
-    each from q^k by pow: a running product drifts by a rounding bias of its
-    own, about 1e-15 relative after a few hundred steps.  The tail, the same
-    sum from t_M = q^M t + w0 (1 - q^M) at weight weight q^M, goes to
-    _lattice_gauss anchored at anchor plus the head, with GAUSS_ROUNDING
-    eps |anchor| of slack: the rounding the caller's anchor already carries.
-    A declined tail, or a budget too small for the head, resumes the plain
-    route from the head terms; the spent evaluations count against max_terms.
-    """
-    m = math.ceil(LATTICE_HEAD_SPAN / (1.0 - q))
-    head = [weight * value]
-    if spent + m + 1 > policy.max_terms:
-        return _lattice_plain(head, spent, f, t, w0, q, weight, policy, what, args)
-    for k in range(1, m):
-        qk = q**k
-        head.append(weight * qk * f(qk * t + w0 * (1.0 - qk)))
-    q_m = q**m
-    t_m = q_m * t + w0 * (1.0 - q_m)
-    value_m = f(t_m)
-    budget = policy.max_terms - spent - m - 1
-    slack = GAUSS_ROUNDING * _EPSILON * abs(anchor)
-    tail_anchor = anchor + math.fsum(head)
-    tail, more = _lattice_gauss(
-        f, t_m, w0, q, weight * q_m, tail_anchor, slack, value_m, block, policy.tol, budget
-    )
-    if tail is None:
-        head.append(weight * q_m * value_m)
-        return _lattice_plain(head, spent + more, f, t, w0, q, weight, policy, what, args)
-    return math.fsum(head + [tail]), spent + m + 1 + more, m
 
 
 def _lattice_gauss(

@@ -65,7 +65,22 @@ _T = TypeVar("_T")
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage failures exit with status 1."""
+    """Argument parser whose usage failures exit with status 1.
+
+    A parser whose options_follow names its positional (sweep: the base)
+    takes no option but -h before it; one given there is a usage error that
+    says so, where argparse would read the option's value as that positional.
+    """
+
+    options_follow: str | None = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.options_follow and args and args[0].startswith("-"):
+            option = args[0].partition("=")[0]
+            if option not in ("-h", "--help"):
+                name = self.options_follow
+                self.error(f"options follow the {name}: {self.prog} <{name}> {option} ...")
+        return super().parse_known_args(args, namespace)
 
     def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
@@ -156,6 +171,7 @@ def build_parser() -> _Parser:
     sweep = commands.add_parser(
         "sweep", help="run kinematics or drag over swept q and/or w"
     )
+    sweep.options_follow = "base"
     swept = sweep.add_subparsers(dest="base", required=True)
     for base, (help_text, routes, add_physics_args, _) in BASES.items():
         table = swept.add_parser(base, help=help_text)
@@ -345,6 +361,9 @@ def _cmd_table(args: argparse.Namespace, parser: _Parser) -> tuple[TrajectoryTab
     policy = _usage_checked(parser, TruncationPolicy, tol=args.tol, max_terms=args.max_terms)
     ts = _grid(args.t_start, args.t_end, args.samples, "time", parser)
     sweeps = _parse_sweeps(args.sweep, parser) if sweeping else {}
+    for name in sweeps:
+        if getattr(args, name) is not None:
+            parser.error(f"--{name} may not be given with --sweep {name}=...")
     if args.q is None and "q" not in sweeps:
         parser.error("--q is required (under sweep, --sweep q=... may stand for it)")
     q_values = sweeps["q"][1] if "q" in sweeps else [args.q]

@@ -367,6 +367,14 @@ def test_sweep_bad_axis_is_usage_error():
     assert proc.returncode == 1
 
 
+def test_sweep_option_before_base_names_the_option():
+    proc = run_cli("sweep", "--samples", "2", "kinematics", "--q", "0.5")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "options follow the base: hahncalc sweep <base> --samples ..." in proc.stderr
+    assert "invalid choice" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # in process: route names and the trace's seams
 

@@ -47,24 +47,19 @@ def counted(f):
     return wrapper, points
 
 
-def spy_on(monkeypatch, name):
-    """Record the results of each call of the _gauss route name."""
+@pytest.fixture
+def gauss_calls(monkeypatch):
+    """The results (sum, evaluations) of the Gauss route; a declined call's sum is None."""
     results = []
-    original = getattr(_gauss, name)
+    original = _gauss._lattice_gauss
 
     def spy(*args):
         result = original(*args)
         results.append(result)
         return result
 
-    monkeypatch.setattr(_gauss, name, spy)
+    monkeypatch.setattr(_gauss, "_lattice_gauss", spy)
     return results
-
-
-@pytest.fixture
-def gauss_calls(monkeypatch):
-    """The results (sum, evaluations) of the Gauss route; a declined call's sum is None."""
-    return spy_on(monkeypatch, "_lattice_gauss")
 
 
 def exact_polynomial_sum(coeffs, t, q, w):
@@ -163,8 +158,7 @@ def test_route_choice(f, q, gauss, gauss_calls):
     [("iterative", False), ("iterative", True), ("second_order", False), ("second_order", True)],
     ids=["False", "True", "second_order-False", "second_order-True"],
 )
-def test_anchor_decides_between_gauss_and_head_tail(route, anchored, gauss_calls, monkeypatch):
-    head_tail = spy_on(monkeypatch, "_lattice_head_tail")
+def test_anchor_decides_between_gauss_and_head_tail(route, anchored, gauss_calls):
     if route == "iterative":
         params = DeformationParams(q=0.99, w=1.0)
         rhs = accel_quotient_velocity(ANCHORED_STATE, params)
@@ -176,7 +170,9 @@ def test_anchor_decides_between_gauss_and_head_tail(route, anchored, gauss_calls
         # at w = 0, where w0 = 0 and x(w0) = C = 0.
         params = DeformationParams(q=0.99, w=1.0 if anchored else 0.0)
         solve_second_order_constant_accel(ANCHORED_STATE, 1.3, params)
-    assert bool(head_tail) == anchored
+    # Only the head-and-tail route calls the rule twice: on the whole sum
+    # and on its tail.
+    assert len(gauss_calls) == (2 if anchored else 1)
     if anchored:
         # Declined for its rounding on the first rule, before any doubling;
         # the tail past the head is then taken by the rules.
@@ -187,6 +183,44 @@ def test_anchor_decides_between_gauss_and_head_tail(route, anchored, gauss_calls
     else:
         [(total, _)] = gauss_calls
         assert total is not None
+
+
+def kink(c):
+    return lambda s: abs(s - c)
+
+
+@pytest.mark.parametrize(
+    "f, t, q, w, max_terms, calls, steps, summed",
+    [
+        # The rule takes the sum; no increment is summed term by term.
+        (quadratic, 1.3, 0.9, 0.1, 100_000, [(True, 31)], 32, 0),
+        # The first term is below tol and the rules never agree on the kink:
+        # the short sum is declined and the plain route runs from k = 0.
+        (lambda s: 1e-14 * abs(s - 0.3), 1.9, 0.9, 0.0, 100_000, [(False, 60)], 69, 3),
+        # A long sum declined whole and on its tail: the plain route resumes
+        # from the head.
+        (kink(0.01), 1.3, 0.99, 0.0, 100_000, [(False, 80), (False, 60)], 2461, 2321),
+        # The same sum with a budget too small for the head: the plain route
+        # runs out of it.
+        (kink(0.01), 1.3, 0.99, 0.0, 300, [(False, 80)], 300, None),
+    ],
+    ids=["gauss", "short-declined", "tail-declined", "no-room-for-head"],
+)
+def test_each_route_outcome_of_the_lattice_sum(
+    f, t, q, w, max_terms, calls, steps, summed, gauss_calls
+):
+    params = DeformationParams(q=q, w=w)
+    rhs, points = counted(f)
+    policy = TruncationPolicy(max_terms=max_terms)
+    if summed is None:
+        with pytest.raises(NonConvergentError):
+            iterate_first_order(rhs, t, params, 0.0, policy)
+    else:
+        report = iterate_first_order(rhs, t, params, 0.0, policy)
+        assert report.steps == len(points)
+        assert report.residual == q**summed * abs(t - params.w0)
+    assert [(total is not None, spent) for total, spent in gauss_calls] == calls
+    assert len(points) == steps
 
 
 def test_head_tail_route_needs_a_fifth_of_the_plain_evaluations(monkeypatch):

@@ -119,6 +119,11 @@ def test_derived_fixed_point_is_not_a_parameter():
         (lambda: TruncationPolicy(tol=math.nan), "tol must be positive, got nan"),
         (lambda: TruncationPolicy(tol=math.inf), "tol must be finite, got inf"),
         (lambda: TruncationPolicy(max_terms=0), "max_terms must be a positive integer, got 0"),
+        (lambda: TruncationPolicy(max_terms=2.5), "max_terms must be a positive integer, got 2.5"),
+        (
+            lambda: TruncationPolicy(max_terms=1e9),
+            "max_terms must be a positive integer, got 1000000000.0",
+        ),
         (lambda: KinematicState(math.nan, 0.0, 0.0), "x0 must be finite, got nan"),
         (lambda: KinematicState(0.0, math.inf, 0.0), "v0 must be finite, got inf"),
         (lambda: KinematicState(math.nan, 0.0, -math.inf), "x0 must be finite, got nan"),
