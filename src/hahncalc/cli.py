@@ -153,10 +153,11 @@ def build_parser() -> _Parser:
 
     for base, (help_text, routes, add_physics_args, _) in BASES.items():
         table = commands.add_parser(base, help=help_text)
-        table.set_defaults(base=base)
+        table.set_defaults(base=base, parser=table)
         _add_table_args(table, routes, add_physics_args)
 
     verify = commands.add_parser("verify", help="run the identity suite")
+    verify.set_defaults(parser=verify)
     verify.add_argument(
         "--q-grid", default=None, help="comma-separated q values, each in (0,1)"
     )
@@ -175,6 +176,7 @@ def build_parser() -> _Parser:
     swept = sweep.add_subparsers(dest="base", required=True)
     for base, (help_text, routes, add_physics_args, _) in BASES.items():
         table = swept.add_parser(base, help=help_text)
+        table.set_defaults(parser=table)
         table.add_argument(
             "--sweep",
             action="append",
@@ -459,11 +461,13 @@ def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Each command's parser is its args.parser, so a usage error names it.
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     if args.command == "verify":
-        return _cmd_verify(args, parser)
-    table, code = _cmd_table(args, parser)
+        return _cmd_verify(args, args.parser)
+    table, code = _cmd_table(args, args.parser)
     rendered = table.to_csv() if args.format == "csv" else table.to_json()
     sys.stdout.write(rendered)
     return code

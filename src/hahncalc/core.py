@@ -23,10 +23,10 @@ one of two routes per argument: factors 1 - q^k a multiplied up to the
 first one with |q^k a| < tol, whose length grows like 1/(1 - q), or, for
 tol <= |a| < 1 where it is cheaper, exp of the log series
 log (a; q)_inf = -sum_n a^n/(n(1 - q^n)), summed by that one rule, whose
-length does not depend on q.  Its single product serves exp_qw and
-q_shifted_factorial_inf, which build one kernel per call; its pair gives
-(a; q)_inf, (-a; q)_inf and single(a)'s zero_factor_hit in one pass, for
-the drag routes, which build one kernel per (q, w) block.
+length does not depend on q.  Its one method, pair, gives (a; q)_inf,
+(-a; q)_inf and whether a factor of (a; q)_inf vanished in one pass: the
+drag routes build one kernel per (q, w) block, and exp_qw and
+q_shifted_factorial_inf one per call, through _qpochhammer_inf.
 
 The lattice sums weight * sum_k q^k f(q^k t + [k]_{q,w}) behind the Hahn
 integral and the kinematic fixed-point iteration are written once, in
@@ -516,53 +516,17 @@ class _QPochKernel:
             _log_series_terms(a, self._log_q), self._policy, _LOG_SERIES_WHAT, a, self._q
         )
 
-    def single(self, a: float) -> tuple[float, bool]:
-        """((a; q)_infinity, zero_factor_hit); the value is 0.0 where a factor vanished.
-
-        A log series past the double range gives inf, as the product would.
-        """
-        size = abs(a)
-        if self._series_route(size):
-            return _exp_or_inf(-math.fsum(self._log_terms(a))), False
-        tol = self._tol
-        q = self._q
-        budget = self._max_terms
-        product = 1.0
-        head = 0
-        if a > 0.0:  # only then can a factor 1 - q^k a vanish
-            while head < budget and size >= ZERO_FACTOR_HEAD:
-                if size < tol:
-                    return product, False
-                factor = 1.0 - size
-                if -ZERO_FACTOR_TOL < factor < ZERO_FACTOR_TOL:
-                    return 0.0, True
-                product *= factor
-                size *= q
-                head += 1
-            for _ in range(budget - head):
-                if size < tol:
-                    return product, False
-                product *= 1.0 - size
-                size *= q
-        else:
-            for _ in range(budget):
-                if size < tol:
-                    return product, False
-                product *= 1.0 + size
-                size *= q
-        raise NonConvergentError(self._product_failure(a))
-
     def pair(self, a: float) -> tuple[float, float, bool]:
         """((a; q)_infinity, (-a; q)_infinity, zero_factor_hit) in one pass.
 
-        Each value is bit for bit what single gives, and zero_factor_hit is
-        single(a)'s.  The two share |q^k a|, so they share the route and the
-        stopping index: the product route multiplies 1 - q^k a and 1 + q^k a
-        in one loop, and on the log series route the terms at -a are those
-        at a with alternating sign.  A vanishing factor of (a; q)_inf stops
-        the pass with both values 0.0.  One of (-a; q)_inf, possible only for
-        a < 0, makes that value 0.0 while (a; q)_inf runs on, as single(a).
-        Raises the NonConvergentError that single(a) raises.
+        The two share |q^k a|, so they share the route and the stopping
+        index: the product route multiplies 1 - q^k a and 1 + q^k a in one
+        loop, and on the log series route the terms at -a are those at a with
+        alternating sign.  A vanishing factor of (a; q)_inf stops the pass
+        with both values 0.0 and zero_factor_hit True.  One of (-a; q)_inf,
+        possible only for a < 0, sets that value to 0.0 while (a; q)_inf runs
+        on.  A log series past the double range gives inf, as the product
+        would.
         """
         size = abs(a)
         if self._series_route(size):
@@ -579,8 +543,11 @@ class _QPochKernel:
                 return (high, low, False) if a < 0.0 else (low, high, False)
             factor = 1.0 - size
             if -ZERO_FACTOR_TOL < factor < ZERO_FACTOR_TOL:
-                return (self.single(a)[0], 0.0, False) if a < 0.0 else (0.0, 0.0, True)
-            low *= factor
+                if a > 0.0:
+                    return 0.0, 0.0, True
+                low = 0.0  # assigned: a negative low times the factor is -0.0
+            else:
+                low *= factor
             high *= 1.0 + size
             size *= q
             head += 1
@@ -602,10 +569,12 @@ class _QPochKernel:
 def _qpochhammer_inf(a: float, q: float, policy: TruncationPolicy) -> tuple[float, bool]:
     """(a; q)_infinity at one point: (value, zero_factor_hit), from a fresh kernel.
 
+    The first value of the kernel's pair, which also forms (-a; q)_inf.
     exp_qw and q_shifted_factorial_inf evaluate their one product through
     this name, which the benchmark's trace spans wrap.
     """
-    return _QPochKernel(q, policy).single(a)
+    value, _, hit = _QPochKernel(q, policy).pair(a)
+    return value, hit
 
 
 _LOG_SERIES_WHAT = "(a;q)_inf log series with a={!r}, q={!r}"

@@ -305,18 +305,25 @@ def test_head_only_zero_factor_test_changes_nothing(q, tol):
 
 
 def one_at_a_time(a, q, policy):
-    """What the one-pass pair must give, from one _qpochhammer_inf call per sign.
+    """What the one-pass pair must give, from one reference evaluation per sign.
 
-    The message where the call at a runs out of max_terms, (0.0, 0.0, True)
-    where a factor of (a; q)_inf vanishes, else the two values and False; a
-    vanishing factor of (-a; q)_inf reads 0.0, as the call at -a gives it.
+    The references share no loop with pair: first_written_product on the
+    product route, and exp(-fsum) of the log series' terms at a and at -a on
+    the other.  The message where the evaluation at a runs out of max_terms,
+    (0.0, 0.0, True) where a factor of (a; q)_inf vanishes, else the two
+    values and False; a vanishing factor of (-a; q)_inf reads 0.0.
     """
+    kernel = core._QPochKernel(q, policy)
     results = []
     for x in (a, -a):
-        try:
-            results.append(core._qpochhammer_inf(x, q, policy))
-        except NonConvergentError as exc:
-            results.append(str(exc))
+        if kernel._series_route(abs(x)):
+            try:
+                results.append((math.exp(-math.fsum(kernel._log_terms(x))), False))
+            except NonConvergentError as exc:
+                results.append(str(exc))
+        else:
+            result = first_written_product(x, q, policy)
+            results.append(kernel._product_failure(x) if result == "nonconvergent" else result)
     if isinstance(results[0], str):
         return results[0]
     if results[0][1]:

@@ -1,10 +1,11 @@
 """Golden CLI panel: replay small invocations and compare stdout byte for byte.
 
 Each case in golden/cases.json names an argv and its exit code.  A case that
-exits 1 (usage error) must print nothing to standard output; every other case
-must print exactly golden/<name>.out.  The arguments live in the JSON file,
-not in this module, so the panel contributes no float literals to the
-constants Hypothesis draws from.
+exits 1 (usage error) must print nothing to standard output, and its usage
+line must name the command given; every other case must print exactly
+golden/<name>.out.  The arguments live in the JSON file, not in this module,
+so the panel contributes no float literals to the constants Hypothesis draws
+from.
 
 After a deliberate change of output, see what moved with
 
@@ -33,16 +34,20 @@ import sys
 
 import pytest
 
-from hahncalc.cli import EXIT_USAGE, main
+from hahncalc.cli import BASES, EXIT_USAGE, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
-def run(argv):
-    """Run the CLI in-process; return (stdout, exit code)."""
+def run(argv, err=None):
+    """Run the CLI in-process; return (stdout, exit code).
+
+    Standard error goes to err when given, else it is discarded.
+    """
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    err = io.StringIO() if err is None else err
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -50,12 +55,28 @@ def run(argv):
     return out.getvalue(), code
 
 
+def command_words(argv):
+    """The words that argv's usage line starts with.
+
+    hahncalc, then the command given, then after sweep the base given.
+    """
+    words = ["hahncalc"]
+    if argv[:1] and argv[0] in (*BASES, "verify", "sweep"):
+        words.append(argv[0])
+        if argv[0] == "sweep" and argv[1:2] and argv[1] in BASES:
+            words.append(argv[1])
+    return words
+
+
 @pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
 def test_golden_invocation(case):
-    stdout, code = run(case["argv"])
+    err = io.StringIO()
+    stdout, code = run(case["argv"], err)
     assert code == case["exit"]
     if case["exit"] == EXIT_USAGE:
         assert stdout == ""
+        usage = "usage: " + " ".join(command_words(case["argv"])) + " [-h]"
+        assert err.getvalue().startswith(usage)
     else:
         expected = (GOLDEN / f"{case['name']}.out").read_text()
         assert stdout == expected
