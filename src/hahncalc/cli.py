@@ -67,14 +67,21 @@ _T = TypeVar("_T")
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage failures exit with status 1.
 
-    A parser whose options_follow names its positional (sweep: the base)
-    takes no option but -h before it; one given there is a usage error that
-    says so, where argparse would read the option's value as that positional.
+    A parser with subcommands takes no option but -h before its subcommand
+    (options_follow, their dest: the command, or sweep's base); one given
+    there is a usage error that says so, where argparse would blame the
+    subcommand for it or read its value as the subcommand.
     """
 
     options_follow: str | None = None
 
+    def add_subparsers(self, **kwargs):
+        self.options_follow = kwargs["dest"]
+        return super().add_subparsers(**kwargs)
+
     def parse_known_args(self, args=None, namespace=None):
+        if args is None:
+            args = sys.argv[1:]
         if self.options_follow and args and args[0].startswith("-"):
             option = args[0].partition("=")[0]
             if option not in ("-h", "--help"):
@@ -172,7 +179,6 @@ def build_parser() -> _Parser:
     sweep = commands.add_parser(
         "sweep", help="run kinematics or drag over swept q and/or w"
     )
-    sweep.options_follow = "base"
     swept = sweep.add_subparsers(dest="base", required=True)
     for base, (help_text, routes, add_physics_args, _) in BASES.items():
         table = swept.add_parser(base, help=help_text)

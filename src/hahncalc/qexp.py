@@ -18,11 +18,11 @@ The drag routes need e_{q,w} at a and at -a together, in one pass, bit for
 bit what the two separate calls give: the pair product of their (q, w)
 block's (a; q)_inf kernel (core._QPochKernel.pair, which also reports the
 vanishing factor that is a pole of exp_qw(-a); see resist._DragRoutes).
-The closed route's bracket e_{1/q}(a) - e_{1/q}(-a) is _exp_qinv_odd_sum.
 
 Each side of the odd-part identity e_{1/q}(x) - e_{1/q}(-x) =
 2 sum_n q^(n(2n+1)) x^(2n+1)/[2n+1]_q! is written once: the left is
-_exp_qinv_difference, the right _exp_qinv_odd_part.
+the closed route's bracket _exp_qinv_odd_sum, the right the series route's
+_exp_qinv_odd_part.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .core import (
     DEFAULT_POLICY,
     DeformationParams,
     TruncationPolicy,
-    _alternating_fsum,
     _check_q,
     _qpochhammer_inf,
     _terms_until_small,
@@ -140,20 +139,12 @@ def _qinv_terms(x: float, q: float) -> Iterator[float]:
         qpow *= q
 
 
-def _exp_qinv_difference(x: float, q: float, policy: TruncationPolicy) -> float:
-    """e_{1/q}(x) - e_{1/q}(-x) from one term list.
-
-    The terms at -x are those at x with the odd ones negated, bit for bit,
-    and both series stop at the same index, so this is bit for bit the
-    difference of the two exp_qinv_series calls, and raises what the first
-    of them raises.
-    """
-    terms = _terms_until_small(_qinv_terms(x, q), policy, _QINV_WHAT, x, q)
-    return math.fsum(terms) - _alternating_fsum(terms)
-
-
 def _exp_qinv_odd_sum(x: float, q: float, policy: TruncationPolicy) -> float:
-    """_exp_qinv_difference as twice the sum of its odd terms: no cancellation as x -> 0."""
+    """e_{1/q}(x) - e_{1/q}(-x) as twice the odd terms of the e_{1/q}(x) series.
+
+    The even terms cancel exactly, so they are dropped, not subtracted, and
+    nothing cancels as x -> 0.  Raises what exp_qinv_series(x) raises.
+    """
     terms = _terms_until_small(_qinv_terms(x, q), policy, _QINV_WHAT, x, q)
     return 2.0 * math.fsum(terms[1::2])
 
@@ -189,11 +180,10 @@ def odd_part_qinv(
         lhs = e_{1/q}(a) - e_{1/q}(-a)
         rhs = 2 sum_{n>=0} a^(2n+1) / [2n+1]_{1/q}!
 
-    The left side sums the full series at a and at -a (one term list, see
-    _exp_qinv_difference) and lets the even terms cancel; the right side
-    sums only the odd terms directly, in the bounded rewrite
-    q^(n(2n+1)) a^(2n+1)/[2n+1]_q! (_exp_qinv_odd_part).  The two summation
-    paths share no intermediate state, so their agreement is a genuine check.
+    The left side is the closed drag route's bracket, the odd terms of the
+    full e_{1/q}(a) term list (_exp_qinv_odd_sum); the right, the series
+    route's, sums the odd terms by their own recurrence (_exp_qinv_odd_part).
+    The two share no intermediate state, so their agreement is a genuine check.
     """
     _check_q(q)
-    return _exp_qinv_difference(a, q, policy), _exp_qinv_odd_part(a, q, policy)
+    return _exp_qinv_odd_sum(a, q, policy), _exp_qinv_odd_part(a, q, policy)

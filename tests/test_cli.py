@@ -375,6 +375,15 @@ def test_sweep_option_before_base_names_the_option():
     assert "invalid choice" not in proc.stderr
 
 
+def test_option_before_command_names_the_option():
+    # python -m hahncalc calls main() with no argv, so the parser reads sys.argv.
+    proc = run_cli("--samples=3", "drag", "--q", "0.5")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: hahncalc [-h]")
+    assert "options follow the command: hahncalc <command> --samples ..." in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # in process: route names and the trace's seams
 

@@ -1,8 +1,9 @@
 """Golden CLI panel: replay small invocations and compare stdout byte for byte.
 
 Each case in golden/cases.json names an argv and its exit code.  A case that
-exits 1 (usage error) must print nothing to standard output, and its usage
-line must name the command given; every other case must print exactly
+exits 1 (usage error) must print nothing to standard output, its usage
+line must name the command given, and its standard error must hold the
+case's "error" text where it gives one; every other case must print exactly
 golden/<name>.out.  The arguments live in the JSON file, not in this module,
 so the panel contributes no float literals to the constants Hypothesis draws
 from.
@@ -77,6 +78,7 @@ def test_golden_invocation(case):
         assert stdout == ""
         usage = "usage: " + " ".join(command_words(case["argv"])) + " [-h]"
         assert err.getvalue().startswith(usage)
+        assert case.get("error", "") in err.getvalue()
     else:
         expected = (GOLDEN / f"{case['name']}.out").read_text()
         assert stdout == expected

@@ -166,6 +166,17 @@ def test_odd_part_qinv_against_oracle(side, q):
     assert worst < BOUND
 
 
+@pytest.mark.parametrize("q", Q_GRID)
+def test_odd_part_qinv_lhs_keeps_relative_accuracy_near_zero(q):
+    # Near a = 0 the left side is about 2a while e_{1/q}(+-a) are near 1;
+    # formed as their difference it lost all digits at |a| = 1e-20 and read 0.
+    worst = max(
+        float(abs(mp.mpf(odd_part_qinv(a, q)[0]) / ref_odd_bracket(a, q) - 1))
+        for a in (1e-300, -1e-300, 1e-20, -1e-20, 1e-8, -1e-8)
+    )
+    assert worst <= BOUND
+
+
 @pytest.mark.parametrize("route", [gravity_drag_velocity, gravity_drag_velocity_series])
 @pytest.mark.parametrize("q", Q_GRID)
 def test_drag_routes_against_oracle(route, q):
