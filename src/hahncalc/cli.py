@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from typing import TYPE_CHECKING, Callable, NoReturn, Sequence, TypeVar
 
@@ -71,9 +72,16 @@ class _Parser(argparse.ArgumentParser):
     (options_follow, their dest: the command, or sweep's base); one given
     there is a usage error that says so, where argparse would blame the
     subcommand for it or read its value as the subcommand.
+
+    An argument that starts with - and then a digit or .digit is a value,
+    as Python 3.13's argparse reads it; older ones take -1e-3 for an option.
     """
 
     options_follow: str | None = None
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def add_subparsers(self, **kwargs):
         self.options_follow = kwargs["dest"]
@@ -344,7 +352,8 @@ def _parse_sweeps(
         if name in sweeps:
             parser.error(f"duplicate sweep for {name!r}")
         parts = grid.split(":")
-        if len(parts) != 3:
+        # float and int skip whitespace, which the header would echo.
+        if len(parts) != 3 or any(map(str.isspace, grid)):
             parser.error(f"bad sweep grid {grid!r}; expected START:STOP:COUNT")
         try:
             start, stop = float(parts[0]), float(parts[1])

@@ -92,7 +92,8 @@ ZERO_FACTOR_TOL = 1e-13
 
 # A factor 1 - x can come within ZERO_FACTOR_TOL of 0 only while |x| is at
 # least this.  The |q^j a| of a q-product never grow with j, so the product
-# loops test for vanishing factors only in the head of indices where it holds.
+# loop of (a; q)_inf, _QPochKernel.pair, tests for vanishing factors only in
+# the head of indices where it holds.
 ZERO_FACTOR_HEAD = 0.5
 
 # Stopping rules demand this many consecutive sub-tolerance terms, which

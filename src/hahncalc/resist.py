@@ -18,7 +18,9 @@ each for every g (g = 0 is pure drag):
   the equation of motion alone (gravity_drag_velocity_iterative).  It
   assumes nothing beyond the equation of motion and therefore serves as
   the oracle for the other two.  It has one stopping rule, taken from
-  error bounds, and counts its work against TruncationPolicy.max_terms.
+  error bounds, counts its work against TruncationPolicy.max_terms, and
+  unwinds the equation in one backward loop that tests every factor
+  1 - kappa u_j for a zero.
 
 All three are methods of one route object per (q, w), _DragRoutes, which
 forms the lattice constants, the (a; q)_inf kernel of its q and a table of
@@ -51,7 +53,6 @@ from typing import Callable, Iterator
 from ._record import FrozenRecord
 from .core import (
     DEFAULT_POLICY,
-    ZERO_FACTOR_HEAD,
     ZERO_FACTOR_TOL,
     DeformationParams,
     TruncationPolicy,
@@ -128,10 +129,11 @@ class _DragRoutes:
     formed once here.  So are the (a; q)_inf kernel of the block's q
     (core._QPochKernel), the slope q - 1 of the lattice step (q - 1)t + w,
     and a table of q^j, j = 0, 1, ..., which the iteration extends as it
-    reaches deeper.  The closed and series routes at one t share
-    e_{q,w}(-kappa t) and e_{q,w}(kappa t), one pass of the kernel's pair
-    product, through a memo of the last t, so a table row that asks for
-    both evaluates the pair once.  classical is _classical_route(dp).
+    reaches deeper and walks back through in one loop that tests every
+    factor 1 - kappa u_j for a zero.  The closed and series routes at one t
+    share e_{q,w}(-kappa t) and e_{q,w}(kappa t), one pass of the kernel's
+    pair product, through a memo of the last t, so a table row that asks
+    for both evaluates the pair once.  classical is _classical_route(dp).
 
     closed and series sum the same odd terms of e_{1/q}(X), each by its own
     term recurrence, so their agreement checks only that recurrence; the
@@ -251,14 +253,7 @@ class _DragRoutes:
             self._powers = powers = powers + [q**j for j in range(len(powers), depth)]
         g = self._g
         u0 = self._slope * t + self._w  # lattice_step(t, params)
-        head = 0
-        while head < depth and abs(rate * (u0 * powers[head])) >= ZERO_FACTOR_HEAD:
-            head += 1
-        for j in range(depth - 1, head - 1, -1):
-            uj = u0 * powers[j]
-            drag = rate * uj
-            v = (-g * uj + (1.0 + drag) * v) / (1.0 - drag)
-        for j in range(head - 1, -1, -1):
+        for j in range(depth - 1, -1, -1):
             uj = u0 * powers[j]
             drag = rate * uj
             denom = 1.0 - drag
@@ -341,8 +336,7 @@ def gravity_drag_velocity_iterative(
     is raised when they run out.
 
     Raises ZeroFactorError when a factor 1 - kappa u_j vanishes within
-    tolerance; only the head of near points with |kappa u_j| >=
-    ZERO_FACTOR_HEAD is tested, because no farther factor can vanish.
+    tolerance; the one backward loop tests every factor of the walk.
     """
     return _DragRoutes(dp, params, policy).iterative(t)
 

@@ -13,7 +13,7 @@ import subprocess
 import sys
 import time
 
-from conftest import record_criterion
+from conftest import child_env, record_criterion
 
 from hahncalc import (
     DeformationParams,
@@ -227,7 +227,9 @@ CLI = [sys.executable, "-m", "hahncalc"]
 
 
 def cli(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, timeout=60)
+    return subprocess.run(
+        CLI + list(args), capture_output=True, text=True, timeout=60, env=child_env()
+    )
 
 
 def csv_cells(text):

@@ -8,12 +8,14 @@ import sys
 
 import pytest
 
+from conftest import child_env
+
 BASE = [sys.executable, "-m", "hahncalc"]
 
 
 def run_cli(*args):
     return subprocess.run(
-        BASE + list(args), capture_output=True, text=True, timeout=120
+        BASE + list(args), capture_output=True, text=True, timeout=120, env=child_env()
     )
 
 

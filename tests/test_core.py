@@ -23,8 +23,10 @@ from hahncalc import (
     exp_qw,
     exp_qinv_series,
     gravity_drag_velocity_series,
+    gravity_kernel_resummed,
     hahn_integral,
     iterate_first_order,
+    kappa,
     odd_part_qinv,
     q_factorial,
     q_inv_factorial,
@@ -50,6 +52,23 @@ def test_fixed_point_value():
 def test_bad_q_rejected(q):
     with pytest.raises(ValueError):
         DeformationParams(q=q, w=0.1)
+
+
+BARE_Q = {
+    "q_number": lambda q: q_number(3, q),
+    "q_shifted_factorial_inf": lambda q: q_shifted_factorial_inf(0.5, q),
+    "kappa": lambda q: kappa(DragParams(m=1.0, k=0.5, g=0.0, v0=1.0), q),
+    "exp_q_series": lambda q: exp_q_series(0.1, q),
+    "gravity_kernel_resummed": lambda q: gravity_kernel_resummed(0.1, q, 4),
+}
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0, math.nan])
+@pytest.mark.parametrize("entry", sorted(BARE_Q))
+def test_bad_bare_q_rejected(entry, q):
+    # Functions that take q without DeformationParams check it themselves.
+    with pytest.raises(ValueError, match="q must lie strictly inside"):
+        BARE_Q[entry](q)
 
 
 def test_negative_w_rejected():
@@ -454,6 +473,14 @@ def test_fundamental_theorem_on_square(t):
         return hahn_integral(lambda s: s * s, u, P)
 
     assert hahn_derivative(antiderivative, t, P) == pytest.approx(t * t, abs=1e-8)
+
+
+@pytest.mark.parametrize("t", [2.0**996, -(2.0**1000), 2.0**1023])
+def test_integral_past_the_split_limit(t):
+    # From |t| = 2^996 on, q t cannot be split exactly, so the prefactor is
+    # (1 - q)t - w as rounded; the integral of 1 is t - w0, which rounds to t.
+    assert core._hahn_prefactor(t, 0.3, 1.0) == (1.0 - 0.3) * t - 1.0
+    assert hahn_integral(lambda s: 1.0, t, DeformationParams(q=0.5, w=1.0)) == t
 
 
 def test_integral_nonconvergent_on_tiny_budget():

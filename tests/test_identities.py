@@ -70,3 +70,8 @@ def test_custom_q_grid():
 def test_bad_q_grid_rejected():
     with pytest.raises(ValueError):
         run_suite(seed=0, q_grid=(1.2,))
+
+
+def test_empty_q_grid_rejected():
+    with pytest.raises(ValueError, match="q_grid must be non-empty"):
+        run_suite(seed=0, q_grid=())

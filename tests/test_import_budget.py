@@ -15,14 +15,10 @@ routes of the lattice sum live in a module of their own, so:
 """
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-import hahncalc
-
-SRC = str(Path(hahncalc.__file__).resolve().parent.parent)
+from conftest import child_env
 
 # Runs the code in argv[1] (a CLI argv as JSON, or "import"), then prints the
 # exit status and the sorted module names as one JSON line on stderr.
@@ -52,12 +48,11 @@ LOW_Q_KINEMATICS_SWEEP = [
 
 def run_fresh(*args):
     """Run a fresh interpreter with this checkout's src first on its path."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(),
         timeout=120,
         check=True,
     )

@@ -348,3 +348,15 @@ def test_gauss_rule_integrates_monomials(q, size):
         moment = sum(Fraction(lam) * Fraction(x) ** j for x, lam in zip(nodes, weights))
         exact = 1 / (1 - exact_q ** (j + 1))
         assert abs(moment / exact - 1) < (j + 1) * 2.0**-52
+
+
+@pytest.mark.parametrize("max_terms", [4, 7])
+def test_a_failed_probe_past_the_budget_raises(max_terms):
+    # f is 0 on the first three lattice points from t = 1.9 at q = 0.5, so the
+    # plain rule stops there, and the probe at depth 6 finds f = 1.  Summing
+    # the terms down to it takes 7 evaluations besides the probe, more than a
+    # budget of 4 to 7 leaves, so the route raises without taking any.
+    f, points = counted(lambda s: 1.0 if s < 0.3 else 0.0)
+    with pytest.raises(NonConvergentError, match=f"within {max_terms} terms"):
+        hahn_integral(f, 1.9, DeformationParams(q=0.5), TruncationPolicy(max_terms=max_terms))
+    assert points == [0.5**k * 1.9 for k in (0, 1, 2, 6)]

@@ -678,7 +678,7 @@ def test_poles_match_one_exponential_at_a_time(q, w):
 
 
 # ---------------------------------------------------------------------------
-# head-only zero-factor tests
+# the iteration's zero-factor test
 
 
 def grid(start, stop, count):
@@ -695,24 +695,72 @@ def outcome(evaluate, *args):
         return str(exc)
 
 
+def head_only_iterative(dp, t, params):
+    """The iterative route with its zero test in the head alone.
+
+    A copy of the route's body from when it scanned for the head of factors
+    with |kappa u_j| >= ZERO_FACTOR_HEAD, walked the tail untested and
+    tested only the head.
+    """
+    routes = resist._DragRoutes(dp, params, core.DEFAULT_POLICY)
+    q = routes._q
+    rate = routes._rate
+    policy = routes._policy
+    start = routes._start
+    s = t - routes._w0
+    depth = 0
+    if not abs(s) <= start:
+        depth = policy.max_terms
+        if start > 0.0 and math.isfinite(s):
+            depth = min(depth, math.ceil((routes._log_start - math.log(abs(s))) / routes._log_q))
+    powers = [q**j for j in range(depth + 1)]
+    x = s * powers[depth]
+    v = math.fsum(
+        _terms_until_small(
+            resist._gravity_drag_series_terms(routes._v0, routes._c1, rate, q, x),
+            policy,
+            "gravity-drag iteration at t={!r}, q={!r}",
+            t,
+            q,
+            spent=depth,
+        )
+    )
+    g = routes._g
+    u0 = routes._slope * t + routes._w
+    head = 0
+    while head < depth and abs(rate * (u0 * powers[head])) >= core.ZERO_FACTOR_HEAD:
+        head += 1
+    for j in range(depth - 1, head - 1, -1):
+        uj = u0 * powers[j]
+        drag = rate * uj
+        v = (-g * uj + (1.0 + drag) * v) / (1.0 - drag)
+    for j in range(head - 1, -1, -1):
+        uj = u0 * powers[j]
+        drag = rate * uj
+        denom = 1.0 - drag
+        if abs(denom) < ZERO_FACTOR_TOL:
+            raise ZeroFactorError(
+                f"denominator factor 1 - kappa u_{j} vanishes for t={t!r}, "
+                f"q={q!r}, w={routes._w!r}"
+            )
+        v = (-g * uj + (1.0 + drag) * v) / denom
+    return v
+
+
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
 @pytest.mark.parametrize("w", [0.0, 1.0])
-def test_head_only_zero_factor_tests_change_nothing(q, w, monkeypatch):
+def test_head_only_zero_factor_tests_change_nothing(q, w):
     # Times spread over both signs of z and |z| up to about 5, plus the poles
     # t_k where kappa u_k = 1 exactly for k < 4 (a vanishing factor at index k).
-    # With a head bound of 0 every factor of the walk is tested.  Pure drag
-    # (g = 0) and gravity share the route and its poles.
+    # The route tests every factor of its walk; testing the head alone gives
+    # the same value or the same ZeroFactorError.  Pure drag (g = 0) and
+    # gravity share the route and its poles.
     params = DeformationParams(q=q, w=w)
     rate = kappa(PURE, q)
     poles = [(w - 1.0 / (rate * q**k)) / (1.0 - q) for k in range(4)]
     times = grid(-60.0, 60.0, 41) + poles
     for dp in (PURE, GRAV):
-        head_only = [outcome(gravity_drag_velocity_iterative, dp, t, params) for t in times]
-        with monkeypatch.context() as patched:
-            patched.setattr(resist, "ZERO_FACTOR_HEAD", 0.0)
-            every_factor = [
-                outcome(gravity_drag_velocity_iterative, dp, t, params) for t in times
-            ]
-        for got, expected in zip(head_only, every_factor):
-            assert got == expected or (math.isnan(got) and math.isnan(expected))
-        assert sum(isinstance(got, str) for got in head_only) >= 4
+        every_factor = [outcome(gravity_drag_velocity_iterative, dp, t, params) for t in times]
+        head_only = [outcome(head_only_iterative, dp, t, params) for t in times]
+        assert list(map(repr, every_factor)) == list(map(repr, head_only))
+        assert sum(isinstance(got, str) for got in every_factor) >= 4

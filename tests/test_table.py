@@ -32,6 +32,13 @@ def test_ragged_columns_rejected():
         table.validate()
 
 
+@pytest.mark.parametrize("flags", [[FLAG_OK], [FLAG_OK, FLAG_OK, FLAG_OK]])
+def test_flag_count_must_match_rows(flags):
+    table = TrajectoryTable(columns={"t": [0.0, 1.0]}, metadata={}, flags=flags)
+    with pytest.raises(ValueError, match=f"{len(flags)} flags for 2 rows"):
+        table.validate()
+
+
 def test_unknown_flag_rejected():
     table = TrajectoryTable(columns={"t": [0.0]}, metadata={}, flags=["mystery"])
     with pytest.raises(ValueError):
