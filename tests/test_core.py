@@ -1,13 +1,15 @@
 """Tests for deformation parameters, q-numbers, products, and the Hahn operators."""
 
+import functools
 import math
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hahncalc import core
+from hahncalc import core, resist
 from hahncalc import (
     CONSECUTIVE_SMALL,
     DeformationParams,
@@ -214,7 +216,7 @@ def test_shifted_factorial_inf_nonconvergent_on_tiny_budget():
 
 
 # ---------------------------------------------------------------------------
-# the two routes of (a; q)_inf
+# the three routes of (a; q)_inf
 
 
 @pytest.fixture
@@ -231,23 +233,85 @@ def log_series_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def euler_calls(monkeypatch):
+    """Record each call of the Euler-series route of (a; q)_inf."""
+    calls = []
+    original = core._QPochKernel._euler_pair
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(core._QPochKernel, "_euler_pair", spy)
+    return calls
+
+
+def in_euler_range(a, q, policy):
+    """Euler's range as documented: tol <= |a| <= min(1/2, 1 - q), N terms in budget."""
+    terms, _ = core._euler_coefficients(q)
+    edge = min(core.ZERO_FACTOR_HEAD, 1.0 - q)
+    return policy.tol <= abs(a) <= edge and terms <= policy.max_terms
+
+
+@functools.lru_cache(maxsize=None)
+def euler_fsum(a, q):
+    """(a; q)_inf as fsum of Euler's series, term by term.
+
+    Each term (-1)^n q^(n(n-1)/2) a^n/(q; q)_n is formed exactly in
+    rationals and rounded once; the sum stops once a term falls below
+    1e-20, which at |a| <= 1 - q leaves a tail far below that.
+    """
+    q_exact = Fraction(q)
+    x = -Fraction(a)
+    terms = []
+    denominator = Fraction(1)
+    for n in count():
+        if n:
+            denominator *= 1 - q_exact**n
+        term = float(q_exact ** (n * (n - 1) // 2) * x**n / denominator)
+        terms.append(term)
+        if abs(term) < 1e-20:
+            return math.fsum(terms)
+
+
+def assert_within_euler_bound(got, a, q):
+    """got is (a; q)_inf within (N + 1) eps R, R = (-|a|; q)_inf/(|a|; q)_inf.
+
+    N eps R is the route's rounding bound; the extra eps R covers the
+    reference's own rounding.
+    """
+    terms, _ = core._euler_coefficients(q)
+    ratio = euler_fsum(-abs(a), q) / euler_fsum(abs(a), q)
+    ref = euler_fsum(a, q)
+    assert abs(got - ref) <= (terms + 1) * 2.0**-52 * ratio * abs(ref)
+
+
 @pytest.mark.parametrize(
     "a, q, log_route",
     [
         (0.3, 0.999, True),
         (-0.6, 0.99, True),
         (0.9, 0.99, True),
-        (0.01, 0.5, True),
-        (0.3, 0.3, False),  # |a| >= q: the product is never longer
+        (0.2, 0.9, True),
+        (0.01, 0.5, False),  # Euler's range, where the log series was cheaper
+        (0.3, 0.3, False),  # Euler's range: |a| <= 1/2 for q < 1/2
+        (0.5, 0.5, False),  # the edge of Euler's range
+        (-0.25, 0.75, False),  # the edge 1 - q
         (0.6, 0.5, False),
         (0.999, 0.99, False),  # series needs ~36000 terms as |a| -> 1
-        (1e-6, 0.3, False),  # a handful of factors beats the series' fixed cost
+        (1e-6, 0.3, False),  # Euler's range
         (1e-15, 0.999, False),  # below tol: no factor at all
     ],
 )
-def test_log_series_route_taken_only_where_cheaper(a, q, log_route, log_series_calls):
+def test_log_series_route_taken_only_where_cheaper(a, q, log_route, log_series_calls, euler_calls):
+    # Euler's series takes its whole range; the log series only the
+    # arguments outside it where it is cheaper than the product.
+    euler = in_euler_range(a, q, core.DEFAULT_POLICY)
+    assert not (euler and log_route)
     q_shifted_factorial_inf(a, q)
     assert bool(log_series_calls) == log_route
+    assert bool(euler_calls) == euler
 
 
 @pytest.mark.parametrize("q", [0.5, 0.999])
@@ -293,6 +357,40 @@ def test_both_routes_agree(a, q):
     assert log_series == pytest.approx(product, rel=1e-12)
 
 
+def test_euler_coefficients_are_built_once_per_q():
+    # A q no other test uses; every kernel at it, whatever its policy, and
+    # the drag routes' kernel, shares one table.
+    q = 0.4321
+    before = core._euler_coefficients.cache_info()
+    for i in range(100):
+        core._qpochhammer_inf(0.004 * (i + 1), q, core.DEFAULT_POLICY)
+        core._qpochhammer_inf(-0.3, q, TruncationPolicy(tol=1e-10, max_terms=50))
+    drag = DragParams(m=1.0, k=0.5, g=0.0, v0=1.0)
+    resist._DragRoutes(drag, DeformationParams(q), core.DEFAULT_POLICY).closed(0.5)
+    after = core._euler_coefficients.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == 200
+
+
+@pytest.mark.parametrize("q", [1e-300, 0.05, 0.5, 0.999, 1 - 2**-53])
+def test_euler_coefficients_bound_their_tail(q):
+    # At the edge A = min(1/2, 1 - q), the terms left out sum, exactly, to at
+    # most half an ulp of the lower bound exp(-A/((1 - A)(1 - q))) of (A; q)_inf.
+    terms, pairs = core._euler_coefficients(q)
+    assert 2 <= terms <= 19
+    coefficients = [c for pair in reversed(pairs) for c in pair][:terms]
+    assert all(0.0 < c < math.inf for c in coefficients)
+    edge = min(0.5, 1.0 - q)
+    floor = math.exp(-edge / ((1.0 - edge) * (1.0 - q)))
+    q_exact, edge_exact = Fraction(q), Fraction(edge)
+    tail = Fraction(0)
+    for n in range(terms, terms + 12):
+        tail += q_exact ** (n * (n - 1) // 2) * edge_exact**n / math.prod(
+            1 - q_exact**k for k in range(1, n + 1)
+        )
+    assert tail <= Fraction(2.0**-53 * floor)
+
+
 def first_written_product(a, q, policy):
     """The product route of (a; q)_inf as first written: every factor tested."""
     product, scaled = 1.0, a
@@ -309,33 +407,50 @@ def first_written_product(a, q, policy):
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
 @pytest.mark.parametrize("tol", [1e-14, 0.7])
-def test_head_only_zero_factor_test_changes_nothing(q, tol):
-    # |a| >= q always takes the product; q^-k are its zero factors.  A tol
+def test_head_only_zero_factor_test_changes_nothing(q, tol, euler_calls):
+    # |a| >= q takes the product unless it lies in Euler's range, which for
+    # q <= 1/2 reaches up to 1/2; there Euler's series is checked against
+    # its own reference, and a budget too small for its terms sends the
+    # argument to the product.  q^-k are the product's zero factors.  A tol
     # above 1/2 puts stopping indices inside the head as well.
     sizes = [q + i * (4.0 - q) / 30 for i in range(31)] + [q**-k for k in range(4)]
+    routes = set()
     for a in sizes + [-size for size in sizes]:
         for max_terms in (1, 2, 3, 5, 100_000):
             policy = TruncationPolicy(tol=tol, max_terms=max_terms)
+            euler_calls.clear()
             try:
                 got = core._qpochhammer_inf(a, q, policy)
             except NonConvergentError:
                 got = "nonconvergent"
-            assert got == first_written_product(a, q, policy)
+            euler = in_euler_range(a, q, policy)
+            assert bool(euler_calls) == euler
+            if euler:
+                routes.add("euler")
+                assert got[1] is False
+                assert_within_euler_bound(got[0], a, q)
+            else:
+                routes.add("product")
+                assert got == first_written_product(a, q, policy)
+    assert routes == ({"euler", "product"} if q <= 0.5 and tol < 0.5 else {"product"})
 
 
 def one_at_a_time(a, q, policy):
     """What the one-pass pair must give, from one reference evaluation per sign.
 
-    The references share no loop with pair: first_written_product on the
-    product route, and exp(-fsum) of the log series' terms at a and at -a on
-    the other.  The message where the evaluation at a runs out of max_terms,
-    (0.0, 0.0, True) where a factor of (a; q)_inf vanishes, else the two
-    values and False; a vanishing factor of (-a; q)_inf reads 0.0.
+    The references share no loop with pair: euler_fsum in Euler's range,
+    first_written_product on the product route, and exp(-fsum) of the log
+    series' terms at a and at -a on the other.  The message where the
+    evaluation at a runs out of max_terms, (0.0, 0.0, True) where a factor
+    of (a; q)_inf vanishes, else the two values and False; a vanishing
+    factor of (-a; q)_inf reads 0.0.
     """
     kernel = core._QPochKernel(q, policy)
     results = []
     for x in (a, -a):
-        if kernel._series_route(abs(x)):
+        if in_euler_range(x, q, policy):
+            results.append((euler_fsum(x, q), False))
+        elif kernel._series_route(abs(x)):
             try:
                 results.append((math.exp(-math.fsum(kernel._log_terms(x))), False))
             except NonConvergentError as exc:
@@ -352,8 +467,12 @@ def one_at_a_time(a, q, policy):
 
 @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
 def test_plus_minus_pair_is_bit_identical_to_two_calls(q):
-    # Log-series sizes, products with |a| >= q, the zero factors q^-k of
-    # either sign, products past the double range, and sizes below tol.
+    # Sizes in Euler's range, log-series sizes, products with |a| >= q, the
+    # zero factors q^-k of either sign, products past the double range, and
+    # sizes below tol; a budget too small for Euler's terms sends its sizes
+    # to the other two routes.  Euler's pair is checked against its reference within
+    # the route's rounding bound, and at -a it is the pair at a swapped, bit
+    # for bit; the other routes match their references bit for bit.
     sizes = [1e-15, 1e-6, 0.01, 0.05, 0.3, 0.6, 0.95, 1.7, 40.0, 1e5]
     sizes += [q**-k for k in range(4)]
     routes = set()
@@ -362,13 +481,21 @@ def test_plus_minus_pair_is_bit_identical_to_two_calls(q):
             for max_terms in (1, 2, 3, 5, 40, 100_000):
                 policy = TruncationPolicy(tol=tol, max_terms=max_terms)
                 kernel = core._QPochKernel(q, policy)
-                routes.add(kernel._series_route(abs(a)))
                 try:
                     got = kernel.pair(a)
                 except NonConvergentError as exc:
                     got = str(exc)
-                assert repr(got) == repr(one_at_a_time(a, q, policy))
-    assert routes == {True, False}
+                expected = one_at_a_time(a, q, policy)
+                if in_euler_range(a, q, policy):
+                    routes.add("euler")
+                    assert kernel.pair(-a) == (got[1], got[0], False)
+                    assert got[2] is False
+                    assert_within_euler_bound(got[0], a, q)
+                    assert_within_euler_bound(got[1], -a, q)
+                else:
+                    routes.add("log" if kernel._series_route(abs(a)) else "product")
+                    assert repr(got) == repr(expected)
+    assert routes == {"euler", "log", "product"}
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from hahncalc import (
+    DEFAULT_POLICY,
     DeformationParams,
     DragParams,
     KinematicState,
@@ -32,6 +33,7 @@ from hahncalc import (
     q_shifted_factorial_inf,
     solve_second_order_constant_accel,
 )
+from hahncalc import core
 
 mp = pytest.importorskip("mpmath")
 mp.mp.dps = 40
@@ -141,6 +143,27 @@ def test_q_shifted_factorial_inf_against_oracle(q):
         for x in [i / 20 for i in range(-12, 13)]
     )
     assert worst < BOUND
+
+
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999])
+def test_euler_route_pair_against_oracle(q):
+    # Euler's range tol <= |a| <= A = min(1/2, 1 - q), at its two ends and
+    # midway: each value of the pair within the route's stated rounding
+    # bound N eps R, R = (-|a|; q)_inf/(|a|; q)_inf, relative.  The product
+    # route took these arguments before, up to tol/(1 - q) off: 1.75e-14 at
+    # q = 1/2, a = 0.3, against a bound of 8.3e-15.
+    policy = DEFAULT_POLICY
+    kernel = core._QPochKernel(q, policy)
+    terms, _ = core._euler_coefficients(q)
+    edge = min(0.5, 1.0 - q)
+    sizes = [policy.tol, edge / 2, edge] + ([0.3] if q == 0.5 else [])
+    for size in sizes:
+        bound = terms * 2.0**-52 * ref_qpoch(-size, q) / ref_qpoch(size, q)
+        for a in (size, -size):
+            low, high, hit = kernel.pair(a)
+            assert not hit
+            for value, ref in ((low, ref_qpoch(a, q)), (high, ref_qpoch(-a, q))):
+                assert abs(value - ref) <= bound * ref
 
 
 @pytest.mark.parametrize("q", Q_GRID)
