@@ -343,7 +343,11 @@ BASES = {
 def _parse_sweeps(
     specs: Sequence[str], parser: _Parser
 ) -> dict[str, tuple[str, list[float]]]:
-    """Parse NAME=START:STOP:COUNT sweep specs into value grids."""
+    """Parse NAME=START:STOP:COUNT sweep specs into value grids.
+
+    Each grid is echoed as parsed, repr(START):repr(STOP):COUNT, as the
+    other options are, so every spelling of one grid prints one header.
+    """
     sweeps: dict[str, tuple[str, list[float]]] = {}
     for spec in specs:
         name, sep, grid = spec.partition("=")
@@ -352,7 +356,7 @@ def _parse_sweeps(
         if name in sweeps:
             parser.error(f"duplicate sweep for {name!r}")
         parts = grid.split(":")
-        # float and int skip whitespace, which the header would echo.
+        # float and int would skip whitespace; a grid holding any is refused.
         if len(parts) != 3 or any(map(str.isspace, grid)):
             parser.error(f"bad sweep grid {grid!r}; expected START:STOP:COUNT")
         try:
@@ -360,7 +364,8 @@ def _parse_sweeps(
             count = int(parts[2])
         except ValueError:
             parser.error(f"bad sweep grid {grid!r}; expected START:STOP:COUNT")
-        sweeps[name] = (grid, _grid(start, stop, count, f"sweep {name}", parser))
+        values = _grid(start, stop, count, f"sweep {name}", parser)
+        sweeps[name] = (f"{start!r}:{stop!r}:{count}", values)
     return sweeps
 
 

@@ -361,6 +361,20 @@ def test_sweep_deterministic():
     assert run_cli(*args).stdout == run_cli(*args).stdout
 
 
+def test_sweep_header_echoes_the_parsed_grid():
+    # Two spellings of one grid print one header, as repr(start):repr(stop):count.
+    outputs = [
+        run_cli(
+            "sweep", "kinematics", "--sweep", f"q={grid}", "--sweep", f"w={w_grid}",
+            "--t-start", "0", "--t-end", "1", "--samples", "2",
+        ).stdout
+        for grid, w_grid in (("0.30:0.5:1_0", "0:1:2"), ("0.3:0.5:10", "0.0:1e0:2"))
+    ]
+    assert outputs[0] == outputs[1]
+    meta, _, _ = parse_csv(outputs[0])
+    assert (meta["sweep_q"], meta["sweep_w"]) == ("0.3:0.5:10", "0.0:1.0:2")
+
+
 def test_sweep_bad_axis_is_usage_error():
     proc = run_cli(
         "sweep", "kinematics", "--sweep", "m=1:2:2",
