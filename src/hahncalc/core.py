@@ -564,8 +564,8 @@ class _QPochKernel:
         """((a; q)_infinity, (-a; q)_infinity, zero_factor_hit) in one pass.
 
         The two share |a|, so they share the route.  In Euler's range they
-        are E -+ O, the even and odd parts of sum_n c_n a^n (_euler_pair).
-        The product route multiplies 1 - q^k a and 1 + q^k a in one
+        are E - O and E + O, from the even and odd parts of sum_n c_n a^n
+        (_euler_pair).  The product route multiplies 1 - q^k a and 1 + q^k a in one
         loop to one stopping index, and on the log series route the terms
         at -a are those at a with alternating sign.  A vanishing factor of
         (a; q)_inf stops the pass with both values 0.0 and zero_factor_hit
