@@ -563,14 +563,14 @@ class _QPochKernel:
     def pair(self, a: float) -> tuple[float, float, bool]:
         """((a; q)_infinity, (-a; q)_infinity, zero_factor_hit) in one pass.
 
-        The two share |a|, so they share the route.  In Euler's range they
-        are E - O and E + O, from the even and odd parts of sum_n c_n a^n
-        (_euler_pair).  The product route multiplies 1 - q^k a and 1 + q^k a in one
-        loop to one stopping index, and on the log series route the terms
-        at -a are those at a with alternating sign.  A vanishing factor of
-        (a; q)_inf stops the pass with both values 0.0 and zero_factor_hit
-        True.  One of (-a; q)_inf, possible only for a < 0, sets that value
-        to 0.0 while (a; q)_inf runs on.  A log series past the double range
+        The two share |a|, so they share the route.  In Euler's range they are
+        E - O and E + O, from the even and odd parts of sum_n c_n a^n
+        (_euler_pair).  The product route multiplies 1 - q^k a and 1 + q^k a
+        in one loop to one stopping index, and on the log series route the
+        terms at -a are those at a with alternating sign.  A vanishing factor
+        of (a; q)_inf stops the pass with both values 0.0 and zero_factor_hit
+        True.  One of (-a; q)_inf, possible only for a < 0, sets that value to
+        0.0 while (a; q)_inf runs on.  A log series past the double range
         gives inf, as the product would.
         """
         size = abs(a)
